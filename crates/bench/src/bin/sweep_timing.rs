@@ -118,10 +118,10 @@ fn bench_quick_sweep(out: Option<&str>, memoize: bool, through_spool: bool) {
     let opts = SweepOptions {
         workers: 1,
         keep_going: true,
-        // The job list keeps each game's two legs back to back (the
-        // spool path sorts specs per game too), so one live entry at a
-        // time suffices; unbounded keeps the bench independent of list
-        // order.
+        // Each game's two legs run back to back (the spool path sorts
+        // specs per game too): the second leg hits the prefix the first
+        // built, and run_sweep releases it once both are done, so one
+        // entry is live at a time without a budget.
         prefix_cache: memoize.then(|| PrefixCache::new(None)),
         ..SweepOptions::default()
     };

@@ -3,7 +3,7 @@
 
 use crate::metrics::{Distribution, Table};
 use crate::sim::CLOCK_HZ;
-use crate::sweep::{run_sweep, JobError, SweepJob, SweepOptions, SweepReport};
+use crate::sweep::{run_sweep, JobError, PrefixCache, SweepJob, SweepOptions, SweepReport};
 use dtexl_mem::energy::EnergyModel;
 use dtexl_pipeline::{BarrierMode, FrameResult, PipelineConfig};
 use dtexl_scene::{Game, SceneSpec};
@@ -63,7 +63,9 @@ type Job = (Game, ScheduleConfig, bool);
 
 /// A cached simulation laboratory: runs each `(game, schedule,
 /// upper-bound)` combination at most once and shares the
-/// [`FrameResult`] across all figures.
+/// [`FrameResult`] across all figures. Each batch of missing jobs also
+/// shares one frame prefix per game through a run-scoped
+/// [`PrefixCache`] (see [`try_ensure`](Self::try_ensure)).
 ///
 /// # Examples
 ///
@@ -187,6 +189,15 @@ impl Lab {
     /// reported instead of taking the process down (see
     /// [`crate::sweep::run_sweep`]).
     ///
+    /// The lab always memoizes: when `opts.prefix_cache` is `None` it
+    /// installs a fresh [`PrefixCache`], so each game's frame prefix is
+    /// built once and shared by all of its schedule and upper-bound
+    /// legs, then released when the game's last leg is done. The
+    /// missing jobs run grouped by game in first-appearance order: a
+    /// lab's jobs differ in prefix key only by game, and a schedule-major
+    /// list (fig16's) would otherwise keep every game's prefix alive at
+    /// once.
+    ///
     /// Successful results land in the lab's cache; failed jobs are
     /// described in the returned [`SweepReport`].
     ///
@@ -195,7 +206,7 @@ impl Lab {
     /// Returns an I/O error only for journal-file problems when
     /// `opts.journal` is set.
     pub fn try_ensure(&self, jobs: &[Job], opts: &SweepOptions) -> std::io::Result<SweepReport> {
-        let missing: Vec<Job> = {
+        let mut missing: Vec<Job> = {
             let cache = self.cache.lock();
             // lint: allow(determinism-hash) -- membership-only dedup; job order comes from the input slice
             let mut seen = std::collections::HashSet::new();
@@ -213,6 +224,13 @@ impl Lab {
                 aborted: false,
             });
         }
+        let mut games: Vec<Game> = Vec::new();
+        for &(game, _, _) in &missing {
+            if !games.contains(&game) {
+                games.push(game);
+            }
+        }
+        missing.sort_by_key(|&(game, _, _)| games.iter().position(|&g| g == game));
         let sweep_jobs: Vec<SweepJob> = missing
             .iter()
             .map(|&(game, sched, upper)| SweepJob {
@@ -230,6 +248,9 @@ impl Lab {
         let mut opts = opts.clone();
         if opts.workers == 0 {
             opts.workers = self.setup.threads;
+        }
+        if opts.prefix_cache.is_none() {
+            opts.prefix_cache = Some(PrefixCache::new(None));
         }
         // Sharding is a fleet-level concern: the lab needs every job's
         // result in its cache, so a shard filter (which silently drops
@@ -716,6 +737,7 @@ impl Lab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::JobMetrics;
 
     /// Small but not degenerate: 16×8 tiles, enough for the Hilbert
     /// 8×8 sub-frames and the decoupling dynamics to operate.
@@ -801,6 +823,48 @@ mod tests {
         assert!(dtexl_speed > 1.0);
         assert!(spiral_speed > 1.0, "spiral order also decouples fine");
         assert!(t.get("Mean", "dtexl L2dec%").unwrap() > 20.0);
+    }
+
+    #[test]
+    fn memoized_lab_results_equal_fresh_simulations() {
+        // Schedule-major, like fig16's list, with upper-bound legs that
+        // share their game's prefix.
+        let lab = tiny_lab();
+        let mut jobs = lab.per_game_jobs(&[ScheduleConfig::baseline(), ScheduleConfig::dtexl()]);
+        jobs.extend(
+            lab.setup
+                .games
+                .iter()
+                .map(|&g| (g, ScheduleConfig::baseline(), true)),
+        );
+        let cache = PrefixCache::new(None);
+        let opts = SweepOptions {
+            prefix_cache: Some(cache.clone()),
+            ..SweepOptions::default()
+        };
+        assert!(lab.try_ensure(&jobs, &opts).unwrap().is_success());
+        let stats = cache.stats();
+        let games = lab.setup.games.len() as u64;
+        assert_eq!(
+            (stats.misses, stats.hits, stats.entries),
+            (games, jobs.len() as u64 - games, 0),
+            "one prefix per game, released after its last leg"
+        );
+
+        // The default path installs a cache of its own.
+        let default_lab = tiny_lab();
+        default_lab.ensure(&jobs);
+        for &(game, schedule, upper) in &jobs {
+            let s = &lab.setup;
+            let fresh = SweepJob::new(game, schedule, upper, s.width, s.height, s.frame)
+                .simulate()
+                .unwrap();
+            for lab in [&lab, &default_lab] {
+                let memo = lab.result(game, schedule, upper);
+                assert_eq!(JobMetrics::of(&memo), JobMetrics::of(&fresh));
+                assert_eq!(memo.hierarchy, fresh.hierarchy);
+            }
+        }
     }
 
     #[test]

@@ -47,9 +47,13 @@
 //! * **Prefix memoization** — [`SweepOptions::prefix_cache`] shares
 //!   the schedule-independent half of each frame simulation (geometry,
 //!   binning, raster, early-Z, texture footprints) across the jobs
-//!   that only differ in schedule, keyed by [`SweepJob::prefix_key`]
-//!   and bounded by a retained-bytes budget. Metrics are bit-identical
-//!   with the cache on or off.
+//!   that differ only in schedule or upper-bound mode, keyed by
+//!   [`SweepJob::prefix_key`]. The [`PrefixCache`] is single-flight
+//!   (concurrent legs of one scene wait for one build) and run-scoped:
+//!   the sweep releases each key once the last of its own legs for it
+//!   has finished, so a finished sweep retains nothing. A
+//!   retained-bytes budget bounds what is held between legs. Metrics
+//!   are bit-identical with the cache on or off.
 //!
 //! The journal is hand-rolled JSON (the vendored `serde` stand-in does
 //! not serialize); the format is pinned in `docs/ROBUSTNESS.md` and by
@@ -60,15 +64,15 @@ use dtexl_obs::{ObsRollup, RollupMode};
 use dtexl_pipeline::{
     compose_frame_probed, BarrierMode, FramePrefix, FrameResult, FrameSim, PipelineConfig, SimError,
 };
-use dtexl_scene::{Game, SceneSpec};
+use dtexl_scene::{Game, Scene, SceneSpec};
 use dtexl_sched::ScheduleConfig;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One unit of sweep work: a fully-specified frame simulation.
@@ -158,11 +162,8 @@ impl SweepJob {
     /// Returns the typed [`SimError`] for invalid specs, configurations
     /// or scenes.
     pub fn simulate(&self) -> Result<FrameResult, SimError> {
-        let spec =
-            SceneSpec::try_new(self.width, self.height, self.frame).map_err(SimError::Scene)?;
-        let scene = self.game.scene(&spec);
         FrameSim::try_run_with_resolution(
-            &scene,
+            &self.scene()?,
             &self.schedule,
             &self.pipeline,
             self.width,
@@ -170,17 +171,26 @@ impl SweepJob {
         )
     }
 
+    fn scene(&self) -> Result<Scene, SimError> {
+        let spec =
+            SceneSpec::try_new(self.width, self.height, self.frame).map_err(SimError::Scene)?;
+        Ok(self.game.scene(&spec))
+    }
+
     /// Hash of everything that determines this job's *shared frame
-    /// prefix* — the scene identity plus the full pipeline
-    /// configuration (fault plan included, `threads` normalized out,
-    /// same canonical form as [`config_hash`](Self::config_hash)).
-    /// Unlike `config_hash` it deliberately **excludes the schedule**:
-    /// the prefix is schedule-independent, so the FG and CG legs of one
-    /// (game, resolution, config) triple share a single cache entry.
+    /// prefix* — the scene identity plus the pipeline configuration
+    /// (fault plan included), in the same canonical form as
+    /// [`config_hash`](Self::config_hash). It deliberately **excludes
+    /// the schedule**, `threads` and `upper_bound`: the prefix reads
+    /// none of them, so every leg over one (game, resolution, frame,
+    /// config) scene shares a single cache entry.
     #[must_use]
     pub fn prefix_key(&self) -> u64 {
-        let mut normalized = self.pipeline;
-        normalized.threads = 1;
+        let normalized = PipelineConfig {
+            threads: 1,
+            upper_bound: false,
+            ..self.pipeline
+        };
         fnv1a(
             format!(
                 "{}|{}x{}#{}|{:?}",
@@ -194,9 +204,9 @@ impl SweepJob {
         )
     }
 
-    /// Like [`simulate`](Self::simulate), but reuse (or populate) a
-    /// shared [`PrefixCache`] of schedule-independent frame prefixes.
-    /// With `None` this is exactly `simulate()`. The memoized path is
+    /// Like [`simulate`](Self::simulate), but run the leg over the
+    /// shared prefix [`PrefixCache::get_or_build`] hands out. With
+    /// `None` this is exactly `simulate()`. The memoized path is
     /// bit-identical to the fresh one by construction — both run the
     /// same schedule-dependent leg over the same prefix data (pinned by
     /// tests/memoize_equivalence.rs).
@@ -206,27 +216,22 @@ impl SweepJob {
     /// Returns the typed [`SimError`] for invalid specs, configurations
     /// or scenes.
     pub fn simulate_with(&self, cache: Option<&PrefixCache>) -> Result<FrameResult, SimError> {
-        let Some(cache) = cache else {
-            return self.simulate();
-        };
-        let key = self.prefix_key();
-        if let Some(prefix) = cache.lookup(key) {
-            return FrameSim::try_run_prefixed(&prefix, &self.schedule, &self.pipeline);
+        match cache {
+            None => self.simulate(),
+            Some(cache) => FrameSim::try_run_prefixed(
+                &*self.shared_prefix(cache)?,
+                &self.schedule,
+                &self.pipeline,
+            ),
         }
-        let spec =
-            SceneSpec::try_new(self.width, self.height, self.frame).map_err(SimError::Scene)?;
-        let scene = self.game.scene(&spec);
-        let prefix = Arc::new(FramePrefix::build(
-            &scene,
-            &self.pipeline,
-            self.width,
-            self.height,
-        )?);
-        let result = FrameSim::try_run_prefixed(&prefix, &self.schedule, &self.pipeline)?;
-        // Insert only after the leg succeeded, so a prefix that trips a
-        // downstream validation error is never cached.
-        cache.insert(key, prefix);
-        Ok(result)
+    }
+
+    /// This job's prefix from `cache`, built on this thread (so the
+    /// job's allocation meter sees it) when no other leg has built it.
+    fn shared_prefix(&self, cache: &PrefixCache) -> Result<Arc<FramePrefix>, SimError> {
+        cache.get_or_build(self.prefix_key(), || {
+            FramePrefix::build(&self.scene()?, &self.pipeline, self.width, self.height)
+        })
     }
 
     /// Like [`simulate_with`](Self::simulate_with), but with rollup
@@ -247,49 +252,22 @@ impl SweepJob {
         cache: Option<&PrefixCache>,
     ) -> Result<(FrameResult, ObsRollup), SimError> {
         let mut rollup = ObsRollup::default();
+        let mut probe = rollup.probe(RollupMode::Sim);
         let result = match cache {
-            None => {
-                let spec = SceneSpec::try_new(self.width, self.height, self.frame)
-                    .map_err(SimError::Scene)?;
-                let scene = self.game.scene(&spec);
-                FrameSim::try_run_probed(
-                    &scene,
-                    &self.schedule,
-                    &self.pipeline,
-                    self.width,
-                    self.height,
-                    &mut rollup.probe(RollupMode::Sim),
-                )?
-            }
-            Some(cache) => {
-                let key = self.prefix_key();
-                if let Some(prefix) = cache.lookup(key) {
-                    FrameSim::try_run_prefixed_probed(
-                        &prefix,
-                        &self.schedule,
-                        &self.pipeline,
-                        &mut rollup.probe(RollupMode::Sim),
-                    )?
-                } else {
-                    let spec = SceneSpec::try_new(self.width, self.height, self.frame)
-                        .map_err(SimError::Scene)?;
-                    let scene = self.game.scene(&spec);
-                    let prefix = Arc::new(FramePrefix::build(
-                        &scene,
-                        &self.pipeline,
-                        self.width,
-                        self.height,
-                    )?);
-                    let result = FrameSim::try_run_prefixed_probed(
-                        &prefix,
-                        &self.schedule,
-                        &self.pipeline,
-                        &mut rollup.probe(RollupMode::Sim),
-                    )?;
-                    cache.insert(key, prefix);
-                    result
-                }
-            }
+            None => FrameSim::try_run_probed(
+                &self.scene()?,
+                &self.schedule,
+                &self.pipeline,
+                self.width,
+                self.height,
+                &mut probe,
+            )?,
+            Some(cache) => FrameSim::try_run_prefixed_probed(
+                &*self.shared_prefix(cache)?,
+                &self.schedule,
+                &self.pipeline,
+                &mut probe,
+            )?,
         };
         compose_frame_probed(
             &result.durations,
@@ -312,7 +290,8 @@ pub struct PrefixCacheStats {
     pub entries: usize,
     /// Approximate retained bytes across resident prefixes.
     pub bytes: u64,
-    /// Lookups that found their prefix.
+    /// Lookups served a prefix another leg built (resident, or waited
+    /// for while in flight).
     pub hits: u64,
     /// Lookups that missed (each miss costs one prefix build).
     pub misses: u64,
@@ -322,22 +301,28 @@ pub struct PrefixCacheStats {
     pub rejected: u64,
 }
 
-/// Bounded, shared cache of schedule-independent [`FramePrefix`]es,
-/// keyed by [`SweepJob::prefix_key`] (an FNV-1a hash, the same family
-/// journal v2 uses for config hashes).
+/// Shared, single-flight cache of schedule-independent
+/// [`FramePrefix`]es, keyed by [`SweepJob::prefix_key`] (an FNV-1a
+/// hash, the same family journal v2 uses for config hashes). It is the
+/// one place that decides when a prefix is built, shared and dropped.
 ///
-/// The canonical sweep runs every (game, resolution) pair once per
-/// schedule leg; the prefix — geometry, binning, raster, early-Z,
-/// texture footprints — is identical across those legs, so caching it
-/// halves the functional work. Prefixes are built on the job's
-/// metered thread (so `--job-mem-budget` sees the build), and the
-/// cache's *retained* footprint is bounded separately by `budget`:
-/// once `approx_bytes` of the resident prefixes would exceed it, the
-/// oldest entries are evicted first (FIFO — sweep job lists group a
-/// game's legs together, so insertion order approximates recency), and
-/// a prefix too large to ever fit is simply not retained — the job
-/// still completes, it just forfeits reuse. Either way an overrun
-/// degrades to a cache miss, never to a failure.
+/// * **Single flight.** [`get_or_build`](Self::get_or_build) builds
+///   each key at most once at a time: concurrent legs with the same
+///   key wait for that one build and share its result (a hit each). A
+///   build that fails or panics leaves the slot empty, and the next leg
+///   to ask builds it afresh. Prefixes are built on the asking job's
+///   metered thread, so `--job-mem-budget` sees the build.
+/// * **Run-scoped retention.** [`run_sweep`] releases a key as soon as
+///   the last of its own legs for that key has finished, so a sweep
+///   whose jobs are grouped by scene keeps about one prefix per worker
+///   alive, and an emptied cache is left behind.
+/// * **Budget.** `budget` bounds the bytes retained *between* legs:
+///   once `approx_bytes` of the resident prefixes would exceed it, the
+///   oldest entries are evicted first (FIFO — sweep job lists group a
+///   scene's legs together, so insertion order approximates recency),
+///   and a prefix too large to ever fit is used by its own leg and not
+///   retained. Either way an overrun degrades to a cache miss, never
+///   to a failure.
 ///
 /// Determinism: the cache only changes *when* a prefix is computed,
 /// never *what* it contains, so metrics are bit-identical with the
@@ -347,19 +332,32 @@ pub struct PrefixCacheStats {
 pub struct PrefixCache {
     /// Retained-bytes bound; `None` is unbounded.
     budget: Option<u64>,
-    inner: Mutex<PrefixCacheInner>,
+    inner: std::sync::Mutex<PrefixCacheInner>,
+    /// Signalled whenever a build settles, so waiting legs re-check.
+    settled: Condvar,
+}
+
+#[derive(Debug)]
+enum Slot {
+    /// A leg is building this key; the ticket tells its build apart
+    /// from a later one after a release.
+    Building(u64),
+    Ready(Arc<FramePrefix>),
 }
 
 #[derive(Debug, Default)]
 struct PrefixCacheInner {
-    /// Resident prefixes. `BTreeMap` (not `HashMap`): iteration order
-    /// feeds nothing observable today, but the determinism lint bans
-    /// `HashMap` wholesale in sim crates and this map is no exception.
-    entries: BTreeMap<u64, Arc<FramePrefix>>,
-    /// Insertion order of live keys, oldest first (FIFO eviction).
-    order: Vec<u64>,
-    /// Approximate retained bytes across `entries`.
+    /// Keys being built or resident. `BTreeMap` (not `HashMap`):
+    /// iteration order feeds nothing observable today, but the
+    /// determinism lint bans `HashMap` wholesale in sim crates and this
+    /// map is no exception.
+    slots: BTreeMap<u64, Slot>,
+    /// Resident (`Ready`) keys, oldest first (FIFO eviction).
+    order: VecDeque<u64>,
+    /// Approximate retained bytes across resident prefixes.
     bytes: u64,
+    /// Next build ticket.
+    tickets: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -373,69 +371,202 @@ impl PrefixCache {
     pub fn new(budget: Option<u64>) -> Arc<Self> {
         Arc::new(Self {
             budget,
-            inner: Mutex::new(PrefixCacheInner::default()),
+            inner: std::sync::Mutex::new(PrefixCacheInner::default()),
+            settled: Condvar::new(),
         })
     }
 
-    /// Fetch the prefix cached under `key`, if resident.
-    #[must_use]
-    pub fn lookup(&self, key: u64) -> Option<Arc<FramePrefix>> {
-        let mut inner = self.inner.lock();
-        match inner.entries.get(&key) {
-            Some(prefix) => {
-                let prefix = Arc::clone(prefix);
-                inner.hits += 1;
-                Some(prefix)
+    /// No code path panics while holding the lock (builds run outside
+    /// it), and every update leaves the maps consistent, so a poisoned
+    /// lock is still sound to use.
+    fn lock(&self) -> MutexGuard<'_, PrefixCacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The prefix resident under `key`, or the one a concurrent leg is
+    /// building (waiting for it), or else the one `build` returns on
+    /// this thread — which is then retained under the budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns `build`'s error; the key is then left empty, for the next
+    /// leg to build. A panicking `build` leaves it empty too.
+    pub(crate) fn get_or_build(
+        &self,
+        key: u64,
+        build: impl FnOnce() -> Result<FramePrefix, SimError>,
+    ) -> Result<Arc<FramePrefix>, SimError> {
+        let mut inner = self.lock();
+        while let Some(slot) = inner.slots.get(&key) {
+            match slot {
+                Slot::Ready(prefix) => {
+                    let prefix = Arc::clone(prefix);
+                    inner.hits += 1;
+                    return Ok(prefix);
+                }
+                Slot::Building(_) => {
+                    inner = self
+                        .settled
+                        .wait(inner)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
             }
-            None => {
-                inner.misses += 1;
-                None
-            }
+        }
+        inner.misses += 1;
+        let ticket = inner.tickets;
+        inner.tickets += 1;
+        inner.slots.insert(key, Slot::Building(ticket));
+        drop(inner);
+        // Settles the slot on every exit: with the prefix on success,
+        // empty on error or unwind.
+        let mut flight = Flight {
+            cache: self,
+            key,
+            ticket,
+            built: None,
+        };
+        let prefix = Arc::new(build()?);
+        flight.built = Some(Arc::clone(&prefix));
+        Ok(prefix)
+    }
+
+    /// Drop `key` whatever its state. A build still in flight for it
+    /// (an attempt the watchdog abandoned) finishes without being
+    /// retained.
+    pub(crate) fn release(&self, key: u64) {
+        let mut inner = self.lock();
+        if let Some(Slot::Ready(prefix)) = inner.slots.remove(&key) {
+            inner.bytes -= prefix.approx_bytes();
+            inner.order.retain(|&k| k != key);
         }
     }
 
-    /// Retain `prefix` under `key`, evicting oldest-first to fit the
-    /// budget. A prefix that alone exceeds the budget is rejected
-    /// (counted, not an error); a key already resident is left as-is
-    /// (two workers can race to build the same prefix — the copies are
-    /// identical, so whichever insert lands first wins).
-    pub fn insert(&self, key: u64, prefix: Arc<FramePrefix>) {
-        let size = prefix.approx_bytes();
-        let mut inner = self.inner.lock();
-        if inner.entries.contains_key(&key) {
-            return;
+    /// End build `ticket` of `key`: retain `prefix` under the budget
+    /// when given and the slot is still this build's, else empty the
+    /// slot; then wake the legs waiting on it.
+    fn settle(&self, key: u64, ticket: u64, prefix: Option<Arc<FramePrefix>>) {
+        let mut inner = self.lock();
+        if matches!(inner.slots.get(&key), Some(Slot::Building(t)) if *t == ticket) {
+            inner.slots.remove(&key);
+            if let Some(prefix) = prefix {
+                self.retain(&mut inner, key, prefix);
+            }
         }
+        drop(inner);
+        self.settled.notify_all();
+    }
+
+    /// Make `prefix` resident, evicting oldest-first to fit the budget.
+    /// A prefix that alone exceeds the budget is rejected (counted, not
+    /// an error).
+    fn retain(&self, inner: &mut PrefixCacheInner, key: u64, prefix: Arc<FramePrefix>) {
+        let size = prefix.approx_bytes();
         if let Some(budget) = self.budget {
             if size > budget {
                 inner.rejected += 1;
                 return;
             }
             while inner.bytes + size > budget {
-                // `order` tracks exactly the live keys, so the front is
-                // always removable while we are over budget.
-                let oldest = inner.order.remove(0);
-                if let Some(evicted) = inner.entries.remove(&oldest) {
+                let Some(oldest) = inner.order.pop_front() else {
+                    break;
+                };
+                if let Some(Slot::Ready(evicted)) = inner.slots.remove(&oldest) {
                     inner.bytes -= evicted.approx_bytes();
                     inner.evictions += 1;
                 }
             }
         }
         inner.bytes += size;
-        inner.order.push(key);
-        inner.entries.insert(key, prefix);
+        inner.order.push_back(key);
+        inner.slots.insert(key, Slot::Ready(prefix));
     }
 
     /// Snapshot of the cache's counters.
     #[must_use]
     pub fn stats(&self) -> PrefixCacheStats {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         PrefixCacheStats {
-            entries: inner.entries.len(),
+            entries: inner.order.len(),
             bytes: inner.bytes,
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
             rejected: inner.rejected,
+        }
+    }
+}
+
+/// One in-flight [`PrefixCache::get_or_build`] build; dropping it
+/// settles the slot.
+struct Flight<'a> {
+    cache: &'a PrefixCache,
+    key: u64,
+    ticket: u64,
+    built: Option<Arc<FramePrefix>>,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        self.cache.settle(self.key, self.ticket, self.built.take());
+    }
+}
+
+/// Run-scoped retention for [`run_sweep`]: each prefix key is released
+/// from the run's [`PrefixCache`] once the last of the run's jobs with
+/// that key has finished.
+struct PrefixLegs<'a> {
+    cache: &'a PrefixCache,
+    jobs: &'a [SweepJob],
+    /// Jobs per prefix key that have not finished yet. Counted when the
+    /// first job finishes, not up front: hashing every job's
+    /// configuration must not delay the first start.
+    left: OnceLock<Mutex<BTreeMap<u64, usize>>>,
+}
+
+impl PrefixLegs<'_> {
+    /// Job `index` is done with its prefix (whether it ran, was
+    /// skipped or lies outside the shard).
+    fn finish(&self, index: usize) {
+        let left = self.left.get_or_init(|| {
+            let mut left = BTreeMap::new();
+            for job in self.jobs {
+                *left.entry(job.prefix_key()).or_insert(0) += 1;
+            }
+            Mutex::new(left)
+        });
+        let key = self.jobs[index].prefix_key();
+        let mut left = left.lock();
+        if let Some(n) = left.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                left.remove(&key);
+                drop(left);
+                self.cache.release(key);
+            }
+        }
+    }
+
+    /// Release the keys of jobs an aborted run never dispatched.
+    fn finish_run(self) {
+        if let Some(left) = self.left.into_inner() {
+            for key in left.into_inner().into_keys() {
+                self.cache.release(key);
+            }
+        }
+    }
+}
+
+/// Marks one dispatched job finished with [`PrefixLegs`] on every exit
+/// from the worker loop's iteration.
+struct LegDone<'a> {
+    legs: Option<&'a PrefixLegs<'a>>,
+    index: usize,
+}
+
+impl Drop for LegDone<'_> {
+    fn drop(&mut self) {
+        if let Some(legs) = self.legs {
+            legs.finish(self.index);
         }
     }
 }
@@ -761,8 +892,11 @@ pub struct SweepOptions {
     /// kinds still flow) rather than emitting as fast as possible.
     pub progress_heartbeat: Duration,
     /// Shared [`PrefixCache`] of schedule-independent frame prefixes;
-    /// jobs run through [`SweepJob::simulate_with`] when set. `None`
-    /// (the default) simulates every job from scratch.
+    /// jobs run through [`SweepJob::simulate_with`] when set, and the
+    /// run releases each prefix after its last leg. `None` (the
+    /// default) simulates every job from scratch, except under
+    /// [`crate::experiments::Lab::try_ensure`], which always installs
+    /// a cache.
     pub prefix_cache: Option<Arc<PrefixCache>>,
     /// Attach rollup probes to every job
     /// ([`SweepJob::simulate_rollup`]) and journal the resulting
@@ -1330,6 +1464,11 @@ where
     } else {
         opts.workers.clamp(1, jobs.len().max(1))
     };
+    let legs = opts.prefix_cache.as_deref().map(|cache| PrefixLegs {
+        cache,
+        jobs,
+        left: OnceLock::new(),
+    });
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -1340,6 +1479,10 @@ where
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 let Some(job) = jobs.get(index).copied() else {
                     break;
+                };
+                let _leg = LegDone {
+                    legs: legs.as_ref(),
+                    index,
                 };
                 let key = job.key();
                 // Out-of-shard jobs belong to another machine's run:
@@ -1559,6 +1702,9 @@ where
         }
     });
 
+    if let Some(legs) = legs {
+        legs.finish_run();
+    }
     let mut records = records.into_inner();
     records.sort_by_key(|r| r.index);
     let aborted = abort.load(Ordering::Relaxed) && !opts.keep_going;
@@ -2142,6 +2288,74 @@ mod tests {
 
     fn tiny_job(game: Game) -> SweepJob {
         SweepJob::new(game, ScheduleConfig::baseline(), false, 96, 64, 0)
+    }
+
+    fn tiny_prefix() -> Result<FramePrefix, SimError> {
+        let job = tiny_job(Game::GravityTetris);
+        FramePrefix::build(&job.scene()?, &job.pipeline, job.width, job.height)
+    }
+
+    #[test]
+    fn prefix_cache_shares_an_in_flight_build() {
+        let owned = PrefixCache::new(None);
+        let cache = &*owned;
+        let (started_tx, started) = std::sync::mpsc::channel();
+        let (go, go_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(move || {
+                cache.get_or_build(1, || {
+                    started_tx.send(()).unwrap();
+                    go_rx.recv().unwrap();
+                    tiny_prefix()
+                })
+            });
+            started.recv().unwrap();
+            // The key is now in flight: a second leg must not build it.
+            let waiter = scope.spawn(move || {
+                cache.get_or_build(1, || panic!("a second build of an in-flight key"))
+            });
+            go.send(()).unwrap();
+            let built = builder.join().unwrap().unwrap();
+            let shared = waiter.join().unwrap().unwrap();
+            assert!(Arc::ptr_eq(&built, &shared));
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
+    }
+
+    #[test]
+    fn failed_or_panicking_build_leaves_the_key_for_the_next_leg() {
+        let cache = PrefixCache::new(None);
+        let err = cache
+            .get_or_build(7, || Err(SimError::Config("bad".into())))
+            .unwrap_err();
+        assert_eq!(err, SimError::Config("bad".into()));
+        assert_eq!(cache.stats().entries, 0);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_build(7, || panic!("build blew up"))
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.stats().entries, 0);
+        cache.get_or_build(7, tiny_prefix).unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 0, 1));
+    }
+
+    #[test]
+    fn released_keys_free_their_bytes_and_in_flight_builds_are_not_retained() {
+        let cache = PrefixCache::new(None);
+        cache.get_or_build(1, tiny_prefix).unwrap();
+        assert!(cache.stats().bytes > 0);
+        cache.release(1);
+        assert_eq!((cache.stats().entries, cache.stats().bytes), (0, 0));
+        cache
+            .get_or_build(2, || {
+                cache.release(2);
+                tiny_prefix()
+            })
+            .unwrap();
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.misses), (0, 0, 2));
     }
 
     #[test]
@@ -2913,7 +3127,9 @@ mod tests {
         let opts = SweepOptions {
             workers: 1,
             keep_going: true,
-            job_timeout: Some(Duration::from_millis(60)),
+            // Long enough for the healthy job to finish in an
+            // unoptimized build on a loaded machine.
+            job_timeout: Some(Duration::from_secs(1)),
             retry: RetryPolicy {
                 max_retries: 1,
                 backoff: Duration::from_millis(1),
@@ -2937,7 +3153,7 @@ mod tests {
         assert_eq!(w.iter().filter(|k| **k == ProgressKind::Retry).count(), 1);
         assert!(
             w.contains(&ProgressKind::Heartbeat),
-            "a 60ms attempt with a 5ms heartbeat must beat at least once"
+            "a 1s attempt with a 5ms heartbeat must beat at least once"
         );
         let w_done = EVENTS
             .lock()

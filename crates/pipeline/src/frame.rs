@@ -3,7 +3,7 @@
 use crate::config::{BarrierMode, PipelineConfig};
 use crate::error::SimError;
 use crate::geometry::GeometryStats;
-use crate::prefix::FramePrefix;
+use crate::prefix::{prefix_identity, FramePrefix};
 use crate::shade::{ShaderCore, ShaderCoreStats, SubtileTrace};
 use crate::tiling::TilingStats;
 use crate::timing::{compose_frame, StageDurations};
@@ -333,7 +333,8 @@ impl FrameSim {
     /// `FramePrefix::build` followed by this exact leg.
     ///
     /// `config` may differ from the prefix's build configuration only
-    /// in `threads` (thread count is metric-invariant); the wall-clock
+    /// in `threads` (thread count is metric-invariant) and
+    /// `upper_bound` (the prefix never reads it); the wall-clock
     /// and allocation fault hooks still fire per leg, so sweep
     /// watchdogs see every job.
     ///
@@ -365,9 +366,7 @@ impl FrameSim {
         probe: &mut P,
     ) -> Result<FrameResult, SimError> {
         config.validate()?;
-        let mut normalized = *config;
-        normalized.threads = 1;
-        if normalized != prefix.config {
+        if prefix_identity(config) != prefix.config {
             return Err(SimError::Config(
                 "frame prefix was built under a different pipeline configuration".into(),
             ));

@@ -83,9 +83,10 @@ pub(crate) struct TilePrefix {
 /// the same (scene, resolution, config) triple.
 #[derive(Debug)]
 pub struct FramePrefix {
-    /// The configuration the prefix was built under, with `threads`
-    /// normalized to 1 — thread count is metric-invariant, so legs may
-    /// differ in it; everything else must match exactly.
+    /// The configuration the prefix was built under, normalized by
+    /// [`prefix_identity`]: legs may differ from it in `threads` and
+    /// `upper_bound`, which the prefix never reads; everything else must
+    /// match exactly.
     pub(crate) config: PipelineConfig,
     /// Screen width in pixels.
     pub(crate) width: u32,
@@ -111,6 +112,18 @@ pub struct FramePrefix {
     /// Flat texture-footprint arena ([`Sampler::quad_footprint`]
     /// output, back to back).
     pub(crate) lines: Vec<LineAddr>,
+}
+
+/// The part of `config` a [`FramePrefix`] depends on: `threads` (thread
+/// count is metric-invariant) and `upper_bound` (read only by the leg,
+/// which picks the L1 hierarchy and lane count from it) are normalized
+/// out, so legs that differ only in them share one prefix.
+pub(crate) fn prefix_identity(config: &PipelineConfig) -> PipelineConfig {
+    PipelineConfig {
+        threads: 1,
+        upper_bound: false,
+        ..*config
+    }
 }
 
 impl FramePrefix {
@@ -235,8 +248,7 @@ impl FramePrefix {
         quads.shrink_to_fit();
         lines.shrink_to_fit();
 
-        let mut config = *config;
-        config.threads = 1;
+        let config = prefix_identity(config);
         let (tiles_w, tiles_h) = (bins.tiles_w(), bins.tiles_h());
         Ok(Self {
             config,

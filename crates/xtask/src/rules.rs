@@ -197,7 +197,7 @@ pub const ALLOWLIST: &[BuiltinAllow] = &[
         reason: "fleet supervisor: wedge timers and restart backoff schedule real child \
                  processes; simulated results come from the children's journals and are \
                  bit-identical regardless of supervision timing \
-                 (pinned by tests/dispatch_resilience.rs)",
+                 (pinned by crates/cli/tests/dispatch_resilience.rs)",
     },
     BuiltinAllow {
         path_suffix: "crates/core/src/dispatch.rs",

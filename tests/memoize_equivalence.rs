@@ -6,13 +6,17 @@
 //! the whole frame from scratch. These tests pin the tentpole
 //! guarantee: the two paths are **bit-identical** on every reported
 //! metric — across both schedules, ragged resolutions, thread counts
-//! and active fault plans — and that the cache key separates exactly
-//! the configurations whose prefixes may not be shared.
+//! and active fault plans — that the cache key separates exactly the
+//! configurations whose prefixes may not be shared, and that a sweep
+//! builds each prefix once and leaves its cache empty.
 
-use dtexl::sweep::{PrefixCache, SweepJob};
-use dtexl_pipeline::{BarrierMode, FaultPlan, LaneStall, PipelineConfig};
+use dtexl::sweep::{
+    canon_text, run_sweep, JobError, JobStatus, PrefixCache, SweepJob, SweepOptions, SweepReport,
+};
+use dtexl_pipeline::{BarrierMode, FaultPlan, LaneStall, PipelineConfig, SimError};
 use dtexl_scene::Game;
-use dtexl_sched::ScheduleConfig;
+use dtexl_sched::{NamedMapping, ScheduleConfig};
+use std::path::PathBuf;
 
 /// Ragged resolutions (partial edge tiles in both axes) plus one
 /// tile-aligned shape.
@@ -148,6 +152,121 @@ fn fault_plans_key_separately() {
         other_sched.prefix_key(),
         "the prefix is schedule-independent by design"
     );
+    let mut upper = clean;
+    upper.pipeline.upper_bound = true;
+    assert_eq!(
+        clean.prefix_key(),
+        upper.prefix_key(),
+        "only the leg reads upper_bound, so it must not split the prefix"
+    );
+}
+
+#[test]
+fn upper_bound_leg_over_a_base_prefix_matches_a_fresh_upper_run() {
+    let cache = PrefixCache::new(None);
+    for game in [Game::CandyCrush, Game::Maze] {
+        let base = job(game, ScheduleConfig::baseline(), 100, 50);
+        let upper = SweepJob::new(game, ScheduleConfig::baseline(), true, 100, 50, 0);
+        base.simulate_with(Some(&cache)).expect("base leg");
+        assert_equivalent(&upper, &cache);
+    }
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (2, 2),
+        "each upper-bound leg must reuse its game's base prefix"
+    );
+}
+
+fn scratch_journal(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dtexl_memoize_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("journal.jsonl")
+}
+
+/// Run `jobs` under `opts` plus a fresh journal; return the report and
+/// the journal's canon view.
+fn sweep_canon(jobs: &[SweepJob], opts: &SweepOptions, tag: &str) -> (SweepReport, String) {
+    let journal = scratch_journal(tag);
+    let opts = SweepOptions {
+        journal: Some(journal.clone()),
+        ..opts.clone()
+    };
+    let report = run_sweep(jobs, &opts, |_, _| {}).unwrap();
+    let canon = canon_text(&std::fs::read_to_string(&journal).unwrap());
+    let _ = std::fs::remove_dir_all(journal.parent().unwrap());
+    (report, canon)
+}
+
+#[test]
+fn concurrent_legs_of_one_scene_build_one_prefix_and_release_it() {
+    // Eight legs of one scene on four workers: the first leg builds,
+    // the others that arrive meanwhile wait for that build.
+    let jobs: Vec<SweepJob> = NamedMapping::FIG16
+        .iter()
+        .map(|m| job(Game::CandyCrush, m.config(), 480, 192))
+        .collect();
+    let cache = PrefixCache::new(None);
+    let opts = SweepOptions {
+        workers: 4,
+        keep_going: true,
+        prefix_cache: Some(cache.clone()),
+        ..SweepOptions::default()
+    };
+    let (report, memo) = sweep_canon(&jobs, &opts, "single_flight");
+    assert!(report.is_success(), "{}", report.summary());
+    let stats = cache.stats();
+    assert_eq!(
+        (stats.misses, stats.hits),
+        (1, 7),
+        "one build, seven shared"
+    );
+    assert_eq!(
+        (stats.entries, stats.bytes),
+        (0, 0),
+        "the sweep releases the prefix once its last leg is done"
+    );
+
+    let fresh_opts = SweepOptions {
+        prefix_cache: None,
+        ..opts
+    };
+    let (_, fresh) = sweep_canon(&jobs, &fresh_opts, "single_flight_fresh");
+    assert_eq!(
+        memo, fresh,
+        "memoized canon must equal the cache-less canon"
+    );
+}
+
+#[test]
+fn invalid_job_returns_its_typed_error_through_the_cache() {
+    let mut zero_width = job(Game::GravityTetris, ScheduleConfig::dtexl(), 100, 50);
+    zero_width.width = 0;
+    let expected = zero_width.simulate().expect_err("zero width is invalid");
+    assert!(matches!(expected, SimError::Scene(_)), "{expected:?}");
+
+    let cache = PrefixCache::new(None);
+    let jobs = [
+        zero_width,
+        job(Game::GravityTetris, ScheduleConfig::baseline(), 100, 50),
+        job(Game::GravityTetris, ScheduleConfig::dtexl(), 100, 50),
+    ];
+    let opts = SweepOptions {
+        workers: 2,
+        keep_going: true,
+        prefix_cache: Some(cache.clone()),
+        ..SweepOptions::default()
+    };
+    let report = run_sweep(&jobs, &opts, |_, _| {}).unwrap();
+    let bad = &report.records[0];
+    assert_eq!(bad.status, JobStatus::Failed);
+    assert_eq!(bad.error, Some(JobError::Invalid(expected)));
+    assert!(report.records[1..]
+        .iter()
+        .all(|r| r.status == JobStatus::Ok));
+    let stats = cache.stats();
+    assert_eq!((stats.entries, stats.bytes), (0, 0), "no entry left behind");
 }
 
 #[test]
