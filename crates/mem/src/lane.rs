@@ -21,11 +21,13 @@ use crate::stats::MemCounters;
 use crate::LineAddr;
 use std::collections::BTreeSet;
 
-/// Lines that would not fit the dense bitmap (1 bit per line up to
-/// this address) spill to a `BTreeSet`. Texture heaps are packed from
-/// address zero, so in practice everything is dense; the limit only
-/// guards against a pathological scene putting the bitmap allocation
-/// itself out of budget (2²⁶ lines = 4 GiB of texture = an 8 MiB map).
+/// Lines at or above this address spill to a `BTreeSet` instead of the
+/// dense bitmap. The bitmap only spans the words between the lowest
+/// and highest line a set has seen (texture heaps start at
+/// `TEXTURE_BASE_ADDR`, not at zero), so its size follows the touched
+/// address range; the limit bounds that range — and so the bitmap
+/// allocation — for a pathological scene (2²⁶ lines = 4 GiB of
+/// texture = an 8 MiB map).
 const DENSE_LINE_LIMIT: LineAddr = 1 << 26;
 
 /// A set of line addresses, tuned for the L1 miss path: inserts into a
@@ -36,8 +38,10 @@ const DENSE_LINE_LIMIT: LineAddr = 1 << 26;
 /// [`TextureHierarchy::stats`]: crate::TextureHierarchy::stats
 #[derive(Debug, Default)]
 pub(crate) struct LineSet {
-    /// Bit `line` of the map ⇔ `line` is present (lines below
+    /// Index (`line / 64`) of the bitmap's first word: bit `line % 64`
+    /// of `bits[line / 64 - base]` ⇔ `line` is present (lines below
     /// [`DENSE_LINE_LIMIT`] only).
+    base: usize,
     bits: Vec<u64>,
     dense_len: u64,
     /// Lines at or above [`DENSE_LINE_LIMIT`].
@@ -49,13 +53,10 @@ impl LineSet {
     pub(crate) fn insert(&mut self, line: LineAddr) {
         if line < DENSE_LINE_LIMIT {
             let word = (line / 64) as usize;
-            if word >= self.bits.len() {
-                // Doubling growth keeps repeated inserts amortized O(1).
-                self.bits.resize((word + 1).max(self.bits.len() * 2), 0);
-            }
+            let i = self.word_slot(word);
             let mask = 1u64 << (line % 64);
-            if self.bits[word] & mask == 0 {
-                self.bits[word] |= mask;
+            if self.bits[i] & mask == 0 {
+                self.bits[i] |= mask;
                 self.dense_len += 1;
             }
         } else {
@@ -63,20 +64,52 @@ impl LineSet {
         }
     }
 
+    /// Index into `bits` of absolute word `word`, growing the bitmap to
+    /// cover it. The first insert anchors the map at its word; later
+    /// growth in either direction at least doubles the map, keeping
+    /// repeated inserts amortized O(1).
+    #[inline]
+    fn word_slot(&mut self, word: usize) -> usize {
+        if self.bits.is_empty() {
+            self.base = word;
+            self.bits.push(0);
+        } else if word < self.base {
+            let len = self.bits.len();
+            let new_base = word.min(self.base.saturating_sub(len));
+            let grow = self.base - new_base;
+            self.bits.splice(0..0, std::iter::repeat_n(0, grow));
+            self.base = new_base;
+        } else if word - self.base >= self.bits.len() {
+            let len = self.bits.len();
+            self.bits.resize((word - self.base + 1).max(len * 2), 0);
+        }
+        word - self.base
+    }
+
+    /// Absolute word `word` of the bitmap (0 outside its range).
+    #[inline]
+    fn word_at(&self, word: usize) -> u64 {
+        // Below `base` the subtraction wraps to an out-of-range index.
+        self.bits
+            .get(word.wrapping_sub(self.base))
+            .copied()
+            .unwrap_or(0)
+    }
+
     pub(crate) fn len(&self) -> u64 {
         self.dense_len + self.sparse.len() as u64
     }
 
     /// Cardinality of the union of `sets` (distinct lines across all
-    /// lanes).
+    /// lanes). Scans only the words between the lowest and highest
+    /// live word of any set.
     pub(crate) fn union_len(sets: &[&Self]) -> u64 {
-        let words = sets.iter().map(|s| s.bits.len()).max().unwrap_or(0);
+        let live = sets.iter().filter(|s| !s.bits.is_empty());
+        let lo = live.clone().map(|s| s.base).min().unwrap_or(0);
+        let hi = live.map(|s| s.base + s.bits.len()).max().unwrap_or(0);
         let mut dense = 0u64;
-        for w in 0..words {
-            let mut or = 0u64;
-            for s in sets {
-                or |= s.bits.get(w).copied().unwrap_or(0);
-            }
+        for w in lo..hi {
+            let or = sets.iter().fold(0u64, |or, s| or | s.word_at(w));
             dense += u64::from(or.count_ones());
         }
         let mut sparse = BTreeSet::new();
@@ -273,6 +306,91 @@ mod tests {
             SetAssocCache::new(CacheConfig::l2()),
             DramModel::new(DramConfig::default()),
         )
+    }
+
+    /// Line of the first texture byte (`TEXTURE_BASE_ADDR / 64`).
+    const TEXTURE_BASE_LINE: LineAddr = 0x1000_0000 / 64;
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn line_set_first_insert_allocates_one_word_at_its_base() {
+        let mut set = LineSet::default();
+        set.insert(TEXTURE_BASE_LINE);
+        assert_eq!(set.bits.len(), 1, "no zero-fill below the first line");
+        assert_eq!(set.base, (TEXTURE_BASE_LINE / 64) as usize);
+        set.insert(TEXTURE_BASE_LINE + 63);
+        assert_eq!(set.bits.len(), 1, "same word, no growth");
+        assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn line_set_grows_downward_below_its_base() {
+        let mut set = LineSet::default();
+        set.insert(TEXTURE_BASE_LINE);
+        set.insert(TEXTURE_BASE_LINE - 1);
+        let first = (TEXTURE_BASE_LINE / 64) as usize;
+        assert!(set.base < first, "base moved down");
+        assert!(set.bits.len() >= 2);
+        set.insert(3);
+        assert_eq!(set.base, 0, "growth stops at word zero");
+        // Re-inserting every line counts nothing twice.
+        for line in [TEXTURE_BASE_LINE, TEXTURE_BASE_LINE - 1, 3] {
+            set.insert(line);
+        }
+        assert_eq!(set.len(), 3);
+    }
+
+    #[test]
+    fn line_set_counts_match_a_btreeset_across_lanes_with_different_bases() {
+        let mut state = 0x5eed;
+        for round in 0..64 {
+            let lanes = 1 + round % 4;
+            let mut sets: Vec<LineSet> = (0..lanes).map(|_| LineSet::default()).collect();
+            let mut refs: Vec<BTreeSet<LineAddr>> = vec![BTreeSet::new(); lanes];
+            for (lane, (set, reference)) in sets.iter_mut().zip(&mut refs).enumerate() {
+                // Each lane draws around its own anchor, some near
+                // zero, some at the texture base, some straddling the
+                // dense limit; the first insert is not the lowest line.
+                let anchor = match (round + lane) % 3 {
+                    0 => 64 * (lane as LineAddr),
+                    1 => TEXTURE_BASE_LINE + 4096 * lane as LineAddr,
+                    _ => DENSE_LINE_LIMIT - 2048,
+                };
+                let count = splitmix(&mut state) % 600;
+                for _ in 0..count {
+                    let offset = splitmix(&mut state) % 8192;
+                    let line = (anchor + offset).saturating_sub(1024);
+                    set.insert(line);
+                    reference.insert(line);
+                }
+                assert_eq!(
+                    set.len(),
+                    reference.len() as u64,
+                    "round {round} lane {lane}"
+                );
+            }
+            let union: BTreeSet<LineAddr> = refs.iter().flatten().copied().collect();
+            let views: Vec<&LineSet> = sets.iter().collect();
+            assert_eq!(
+                LineSet::union_len(&views),
+                union.len() as u64,
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn line_set_union_of_empty_sets_is_empty() {
+        let (a, b) = (LineSet::default(), LineSet::default());
+        assert_eq!(LineSet::union_len(&[&a, &b]), 0);
+        assert_eq!(LineSet::union_len(&[]), 0);
     }
 
     #[test]

@@ -645,7 +645,8 @@ impl FrameSim {
                     let latencies = shared.replay_demand(&trace.requests);
                     if let Some(before) = before {
                         let delta = shared.counters().since(&before);
-                        probe.record(Event::Mem(mem_sample(ti, sc, &trace, delta)));
+                        let l1 = (trace.l1_hits(), trace.l1_misses());
+                        probe.record(Event::Mem(mem_sample(ti, sc, l1, delta)));
                     }
                     let (cycles, stats) = core.time_subtile(&trace, l1_latency, &latencies);
                     let shaded = (leg.sc[sc].1 - leg.sc[sc].0) as usize;
@@ -705,14 +706,14 @@ fn span(r: (u32, u32)) -> std::ops::Range<usize> {
     r.0 as usize..r.1 as usize
 }
 
-/// Subtile execution over prefix indices with optional memory probing.
-///
-/// With a disabled probe this is the trace → replay → time split of
-/// [`ShaderCore::run_subtile`] (pinned bit-identical to the fused path
-/// by the shade-stage tests) fed from the cached footprints. When
-/// probing, the shared-level replay is bracketed with
+/// Subtile execution over prefix indices with optional memory probing:
+/// the fused access-by-access walk of
+/// [`ShaderCore::run_subtile_fused`] (pinned bit-identical to the
+/// trace → replay → time split by the shade-stage tests) fed from the
+/// cached footprints. When probing, the walk is bracketed with
 /// [`TextureHierarchy::shared_counters`] snapshots so L2/DRAM traffic
-/// is attributed to this (tile, SC) subtile.
+/// is attributed to this (tile, SC) subtile; the L1 counts come from
+/// the walk's demand-miss count.
 fn run_subtile_cached<P: Probe>(
     prefix: &FramePrefix,
     core: &ShaderCore,
@@ -723,30 +724,37 @@ fn run_subtile_cached<P: Probe>(
     probe: &mut P,
 ) -> (u64, ShaderCoreStats) {
     if !probe.enabled() {
-        // No per-subtile memory sample to assemble: take the fused
-        // access-by-access walk (same request order, no trace buffers).
         return core.run_subtile_fused(sc, prefix.prepared(indices), hierarchy);
     }
     let before = hierarchy.shared_counters();
-    let lane = hierarchy.lane_mut(sc);
-    let l1_latency = lane.l1_latency();
-    let trace = core.trace_prepared(prefix.prepared(indices), lane);
-    let latencies = hierarchy.replay_demand(&trace.requests);
+    let (cycles, stats, l1_misses) =
+        core.run_subtile_fused_counted(sc, prefix.prepared(indices), hierarchy);
     let delta = hierarchy.shared_counters().since(&before);
-    probe.record(Event::Mem(mem_sample(tile, sc, &trace, delta)));
-    core.time_subtile(&trace, l1_latency, &latencies)
+    let l1_hits = stats.line_accesses - l1_misses;
+    probe.record(Event::Mem(mem_sample(
+        tile,
+        sc,
+        (l1_hits, l1_misses),
+        delta,
+    )));
+    (cycles, stats)
 }
 
-/// Build one fragment-subtile memory sample: L1 counts from the lane
-/// trace, shared-level counts from the replay-window counter delta
-/// (which includes the trace's prefetch requests — they replay in the
-/// same window).
-fn mem_sample(tile: usize, sc: usize, trace: &SubtileTrace, delta: MemCounters) -> MemSample {
+/// Build one fragment-subtile memory sample: the subtile's L1
+/// `(hits, demand misses)`, and shared-level counts from the subtile's
+/// counter delta (which includes its prefetch requests — they reach
+/// the L2 in the same window).
+fn mem_sample(
+    tile: usize,
+    sc: usize,
+    (l1_hits, l1_misses): (u64, u64),
+    delta: MemCounters,
+) -> MemSample {
     MemSample {
         tile: tile as u32,
         sc: sc as u8,
-        l1_hits: trace.l1_hits(),
-        l1_misses: trace.l1_misses(),
+        l1_hits,
+        l1_misses,
         l2_hits: delta.l2_hits,
         l2_misses: delta.l2_misses,
         dram_requests: delta.dram_requests,

@@ -13,6 +13,12 @@
 //! [`TextureHierarchy`] and is bit-identical to simulating the subtile
 //! access-by-access: within a subtile only one core touches the
 //! hierarchy, so deferring the L2 replay reorders nothing.
+//!
+//! The serial fragment stage does not split: probed or not, it runs
+//! [`ShaderCore::run_subtile_fused`], which walks each access straight
+//! through the hierarchy with no trace or latency buffers. The split
+//! serves the lane-threaded fragment stage (`threads > 1`) and callers
+//! that time the halves separately.
 
 use crate::prim::Quad;
 use dtexl_mem::{L1Lane, L2Request, LineAddr, TextureHierarchy};
@@ -358,6 +364,23 @@ impl ShaderCore {
     where
         I: IntoIterator<Item = PreparedQuad<'a>>,
     {
+        let (cycles, stats, _) = self.run_subtile_fused_counted(sc, quads, hierarchy);
+        (cycles, stats)
+    }
+
+    /// [`run_subtile_fused`](Self::run_subtile_fused), also returning
+    /// the subtile's L1 demand-miss count (prefetch fills excluded) —
+    /// the L1 half of a probed subtile's memory sample.
+    pub(crate) fn run_subtile_fused_counted<'a, I>(
+        &self,
+        sc: usize,
+        quads: I,
+        hierarchy: &mut TextureHierarchy,
+    ) -> (u64, ShaderCoreStats, u64)
+    where
+        I: IntoIterator<Item = PreparedQuad<'a>>,
+    {
+        let mut demand_misses = 0u64;
         let mut slot_free = vec![0u64; self.warp_slots];
         let mut port = 0u64;
         let mut group_latency: Vec<u32> = Vec::with_capacity(4);
@@ -398,13 +421,14 @@ impl ShaderCore {
             stats.alu_ops += u64::from(quad.alu_ops);
             stats.tex_instructions += u64::from(quad.tex_samples);
             stats.line_accesses += quad.lines.len() as u64;
+            demand_misses += misses;
         }
 
         let drain = slot_free.iter().copied().max().unwrap_or(0);
         let cycles = port.max(drain);
         stats.busy_cycles = port;
         stats.total_cycles = cycles;
-        (cycles, stats)
+        (cycles, stats, demand_misses)
     }
 }
 

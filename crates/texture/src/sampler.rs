@@ -259,6 +259,34 @@ impl Sampler {
     }
 }
 
+/// `v.floor() as i64` for every float, NaN and ±∞ included, without
+/// the `floorf` libcall `f32::floor` lowers to on baseline x86-64 (no
+/// SSE4.1) — this is the footprint hot path's floor.
+///
+/// For `|v| < 2²²` (every in-range texel coordinate) adding
+/// `1.5·2²³` lands in `[2²³, 2²⁴)`, where the float spacing is 1: the
+/// sum is `v` rounded to the nearest integer, sitting in the low
+/// mantissa bits, and subtracting the magic back is exact. One compare
+/// turns that rounding into a floor — no int↔float conversion at all.
+/// Every other input takes the saturating truncate-and-adjust path.
+#[inline]
+fn floor_i64(v: f32) -> i64 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
+    if v.abs() < 4_194_304.0 {
+        let m = v + MAGIC;
+        let rounded = m.to_bits() as i32 - MAGIC.to_bits() as i32;
+        return i64::from(rounded - i32::from(m - MAGIC > v));
+    }
+    // `as i64` truncates toward zero, so subtract one when the
+    // truncation rounded up (negative non-integers).
+    let t = v as i64;
+    #[allow(clippy::cast_precision_loss)]
+    let adjust = v < t as f32;
+    // Saturating: floats below i64::MIN truncate to i64::MIN and must
+    // stay there, as `floor() as i64` would.
+    t.saturating_sub(i64::from(adjust))
+}
+
 /// Per-mip-level addressing context, hoisted out of the per-fragment
 /// tap loop: one [`quad_footprint_into`](Sampler::quad_footprint_into)
 /// call resolves the level dimensions, wrap masks and base address
@@ -333,21 +361,6 @@ impl LevelCtx {
     /// and the caller's closing sort+dedup nearly free. The linear
     /// `contains` scan is over that same tiny tail.
     fn fragment_lines(&self, uv: Vec2, out: &mut Vec<LineAddr>, start: usize) {
-        // Branchless floor: `f32::floor` lowers to a `floorf` libcall on
-        // baseline x86-64 (no SSE4.1), which dominated this function.
-        // `as i64` truncates toward zero, so subtract one when the
-        // truncation rounded up (negative non-integers); identical to
-        // `v.floor() as i64` for every float, NaN and ±∞ included
-        // (both saturate the same way).
-        #[inline]
-        fn floor_i64(v: f32) -> i64 {
-            let t = v as i64;
-            #[allow(clippy::cast_precision_loss)]
-            let adjust = v < t as f32;
-            // Saturating: floats below i64::MIN truncate to i64::MIN
-            // and must stay there, as `floor() as i64` would.
-            t.saturating_sub(i64::from(adjust))
-        }
         let tu = uv.x * self.wf - 0.5;
         let tv = uv.y * self.hf - 0.5;
         let x0 = floor_i64(tu);
@@ -436,6 +449,43 @@ mod tests {
             uv(x, y + 1.0),
             uv(x + 1.0, y + 1.0),
         ]
+    }
+
+    #[test]
+    fn floor_i64_matches_std_floor_on_edge_cases() {
+        let edge = [
+            0.0,
+            0.5,
+            4_194_303.5, // 2²² − 0.5
+            4_194_304.0, // 2²²
+            8_388_608.0, // 2²³
+            f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::INFINITY,
+        ];
+        for v in edge
+            .into_iter()
+            .flat_map(|v| [v, -v])
+            .chain([f32::NAN, f32::MIN])
+        {
+            assert_eq!(floor_i64(v), v.floor() as i64, "floor_i64({v:e})");
+        }
+    }
+
+    #[test]
+    fn floor_i64_matches_std_floor_on_a_bit_pattern_sweep() {
+        // An odd stride visits every exponent and both signs, with
+        // varied mantissas.
+        for bits in (0..=u32::MAX).step_by(997) {
+            let v = f32::from_bits(bits);
+            assert_eq!(
+                floor_i64(v),
+                v.floor() as i64,
+                "floor_i64({v:e}) = bits {bits:#x}"
+            );
+        }
     }
 
     #[test]

@@ -9,15 +9,15 @@
 //! table re-uses the GTr 96x64 stall goldens of obs_determinism.rs:
 //! re-baseline the two files together.
 
-use dtexl::obs::{ObsRollup, Stage};
+use dtexl::obs::{ObsRollup, RollupMode, Stage};
 use dtexl::profile::{stall_diff_table, FrameProfile};
 use dtexl::sweep::{
     canon_text, latest_entries, merge_journals, run_sweep, PrefixCache, Shard, SweepJob,
     SweepOptions,
 };
 use dtexl::SimConfig;
-use dtexl_pipeline::PipelineConfig;
-use dtexl_scene::Game;
+use dtexl_pipeline::{FramePrefix, FrameSim, PipelineConfig};
+use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::ScheduleConfig;
 use std::path::PathBuf;
 
@@ -75,6 +75,47 @@ fn rollup_is_bit_identical_across_threads_schedules_and_memoization() {
                 );
             }
         }
+    }
+}
+
+/// With next-line prefetch on, L1 demand misses and L2 fills no longer
+/// coincide, so the probed leg's memory sample must take its L1 counts
+/// from the demand misses alone. The serial leg (one lane thread) walks
+/// the fused path and the four-thread leg the trace → replay path:
+/// both must fold to the same rollup and the same frame.
+#[test]
+fn prefetching_probed_leg_matches_across_fused_and_trace_paths() {
+    let (w, h) = (100, 50);
+    let mut config = PipelineConfig::default();
+    config.hierarchy.prefetch_next_line = true;
+    let scene = Game::CandyCrush.scene(&SceneSpec::new(w, h, 0));
+    let prefix = FramePrefix::build(&scene, &config, w, h).expect("valid scene");
+    for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
+        let run = |threads| {
+            let leg = PipelineConfig { threads, ..config };
+            let mut rollup = ObsRollup::default();
+            let result = FrameSim::try_run_prefixed_probed(
+                &prefix,
+                &schedule,
+                &leg,
+                &mut rollup.probe(RollupMode::Sim),
+            )
+            .expect("valid leg");
+            (result, rollup)
+        };
+        let (fused, fused_rollup) = run(1);
+        let (traced, traced_rollup) = run(4);
+        let ctx = schedule.label();
+        let l2_fills = fused_rollup.l2_hits + fused_rollup.l2_misses;
+        assert!(
+            l2_fills > fused_rollup.l1_misses,
+            "prefetch must add L2 fills beyond the demand misses: {ctx}"
+        );
+        assert_eq!(fused_rollup, traced_rollup, "rollup: {ctx}");
+        assert_eq!(fused.durations, traced.durations, "durations: {ctx}");
+        assert_eq!(fused.hierarchy, traced.hierarchy, "hierarchy: {ctx}");
+        assert_eq!(fused.shader, traced.shader, "shader stats: {ctx}");
+        assert_eq!(fused.tiles, traced.tiles, "tile records: {ctx}");
     }
 }
 
