@@ -72,6 +72,72 @@ fn bench_sampler(c: &mut Criterion) {
     }
 }
 
+/// A game's textures and the `(sampler, texture, uv)` of every quad a
+/// frame shades.
+type SceneQuads = (Vec<TextureDesc>, Vec<(Sampler, u32, [Vec2; 4])>);
+
+/// The shaded quads of each game's 480×192 frame 0, collected through
+/// the public raster and early-Z calls the way `FramePrefix::build`
+/// collects them.
+fn scene_quads() -> Vec<SceneQuads> {
+    use dtexl::gmath::Rect;
+    use dtexl_pipeline::{GeometryPipeline, PipelineConfig, TilingEngine};
+    let (w, h) = (480, 192);
+    let config = PipelineConfig::default();
+    let raster = Rasterizer::new(config.tile_size);
+    let mut zbuf = ZBuffer::new(config.tile_size);
+    let mut tile_quads = Vec::new();
+    let mut out = Vec::new();
+    for game in Game::ALL {
+        let scene = game.scene(&SceneSpec::new(w, h, 0));
+        let gout = GeometryPipeline::new(config.vertex_cache).run(&scene, w, h);
+        let bins = TilingEngine::new(config.tile_cache, config.tile_size).bin(&gout.prims, w, h);
+        let mut quads = Vec::new();
+        for ty in 0..bins.tiles_h() {
+            for tx in 0..bins.tiles_w() {
+                tile_quads.clear();
+                raster.rasterize_tile_into(
+                    &gout.prims,
+                    bins.list(tx, ty),
+                    (tx * config.tile_size) as i32,
+                    (ty * config.tile_size) as i32,
+                    Rect::new(0, 0, w as i32, h as i32),
+                    &mut tile_quads,
+                );
+                zbuf.clear();
+                for q in &tile_quads {
+                    let surviving = zbuf.test_and_update(q);
+                    if (if q.late_z { q.mask } else { surviving }) != 0 {
+                        quads.push((Sampler::new(q.shader.filter), q.texture, q.uv));
+                    }
+                }
+            }
+        }
+        out.push((scene.textures, quads));
+    }
+    out
+}
+
+/// Footprints of real shaded quads: the footprint layer of a frame
+/// prefix, without the rest of the pipeline.
+fn bench_scene_footprints(c: &mut Criterion) {
+    let games = scene_quads();
+    let mut lines = Vec::new();
+    c.bench_function("sampler_scene_quads", |b| {
+        b.iter(|| {
+            let mut total = 0;
+            for (textures, quads) in &games {
+                lines.clear();
+                for (s, tex, uv) in quads {
+                    s.quad_footprint_into(&textures[*tex as usize], *uv, &mut lines);
+                }
+                total += lines.len();
+            }
+            black_box(total)
+        });
+    });
+}
+
 fn bench_raster_and_z(c: &mut Criterion) {
     use dtexl::gmath::{Rect, Triangle2};
     use dtexl_pipeline::RasterPrim;
@@ -205,6 +271,7 @@ criterion_group! {
         bench_cache,
         bench_morton_and_hilbert,
         bench_sampler,
+        bench_scene_footprints,
         bench_raster_and_z,
         bench_shader_core,
         bench_scene_gen,

@@ -1,6 +1,32 @@
 //! LOD selection and filtering footprints.
+//!
+//! A quad's footprint is the sorted, deduplicated set of cache lines
+//! its four fragments' bilinear taps address, on one mip level
+//! (bilinear) or two (trilinear). By definition that is the per-tap
+//! reference path: floor each fragment's texel coordinate, wrap or
+//! clamp its 2×2 taps, address each through
+//! [`TextureDesc::texel_line`], then sort and deduplicate.
+//!
+//! [`Sampler::quad_footprint_into`] computes the same set per mip
+//! level with a window kernel. On a Morton level at a line-aligned
+//! base a line is exactly one 4×4-texel block, so the kernel floors
+//! the four fragments' coordinates once, marks each touched block in
+//! a 16-bit mask over the 4×4-block window anchored at the quad's
+//! lowest block, and emits one line per marked block: one wrap and
+//! one Morton code each, with no per-tap compare. The 1×1 tail level
+//! is a single line whatever the coordinates. The constants this
+//! needs per level (dimensions, first line, block wrap masks, which of
+//! the three cases the level is) are built once per texture by
+//! [`TextureDesc::with_layout`].
+//!
+//! The reference path runs instead, for the whole quad, when the
+//! window cannot hold it: anisotropic filtering, a row-major or
+//! unaligned level, a floored texel coordinate outside
+//! `[-2²², 2²²)` (±∞ and NaN included), or taps spanning more than
+//! four blocks on an axis. It is also the kernel's test oracle.
 
-use crate::texture::TextureDesc;
+use crate::morton::spread_bits;
+use crate::texture::{MipLevel, MipLines, TextureDesc};
 use dtexl_gmath::{interp::attr_derivatives, Vec2};
 use dtexl_mem::LineAddr;
 
@@ -83,44 +109,63 @@ impl Sampler {
     /// spacing.
     #[must_use]
     pub fn lod(&self, tex: &TextureDesc, quad_uv: [Vec2; 4]) -> f32 {
-        let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
-        let texel = quad_uv.map(|uv| uv.mul_elem(scale));
-        let (ddx, ddy) = attr_derivatives(texel);
-        let rho = ddx.length().max(ddy.length()).max(1e-6);
+        let rho = Self::max_sq_grad(tex, quad_uv).sqrt().max(1e-6);
         rho.log2().max(0.0)
     }
 
-    /// Unbiased exponent of the quad's maximum *squared* texel-space
-    /// gradient `m = max(|ddx|², |ddy|²)`.
-    ///
-    /// With `ρ = √m`, integer mip levels derive from this exponent
-    /// without `sqrt` or `log2f` (the footprint hot path):
-    /// `floor(log2 ρ + ½) == (e + 1) >> 1` and
-    /// `floor(log2 ρ) == e >> 1` exactly, because the half-integer
-    /// thresholds of `log2 ρ` are the integer power-of-two boundaries
-    /// of `m` — where its exponent increments. Same quantized level as
-    /// [`lod`](Self::lod), minus that path's two rounding steps
-    /// (`sqrtf` then `log2f`), which cancel out within the float
-    /// spacing at every representable `m`.
+    /// The quad's maximum *squared* texel-space gradient
+    /// `m = max(|ddx|², |ddy|²)`; [`lod`](Self::lod) takes the `log2`
+    /// of `ρ = √m`.
     #[inline]
-    fn grad_exp(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> i32 {
+    fn max_sq_grad(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> f32 {
         let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
         let texel = quad_uv.map(|uv| uv.mul_elem(scale));
         let (ddx, ddy) = attr_derivatives(texel);
-        let m = ddx.dot(ddx).max(ddy.dot(ddy)).max(1e-12);
-        ((m.to_bits() >> 23) as i32) - 127
+        ddx.dot(ddx).max(ddy.dot(ddy))
     }
 
-    /// `floor(max(log2 ρ, 0) + ½)` — nearest mip level (bilinear).
+    /// Unbiased exponent `e` of `max(m, 10⁻¹²)`.
+    ///
+    /// Integer mip levels derive from it without `sqrt` or `log2f`:
+    /// `floor(log2 ρ + ½) == (e + 1) >> 1` and
+    /// `floor(log2 ρ) == e >> 1` hold exactly for the real `log2` of
+    /// the float `m`, because the half-integer thresholds of `log2 ρ`
+    /// are the integer power-of-two boundaries of `m`, where its
+    /// exponent increments. These levels are the model's definition.
+    /// [`lod`](Self::lod) rounds twice (`sqrtf`, then `log2f`) and can
+    /// land on a threshold from below: just under `m = 2¹¹` it reads
+    /// exactly 5.5, so `floor(lod + ½)` is 6 where
+    /// [`level_round`](Self::level_round) is 5.
     #[inline]
-    fn level_round(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> u32 {
-        ((Self::grad_exp(tex, quad_uv) + 1) >> 1).max(0) as u32
+    fn grad_exp(m: f32) -> i32 {
+        ((m.max(1e-12).to_bits() >> 23) as i32) - 127
     }
 
-    /// `floor(max(log2 ρ, 0))` — lower mip level (trilinear).
+    /// `floor(max(log2 √m, 0) + ½)` — nearest mip level (bilinear).
     #[inline]
-    fn level_floor(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> u32 {
-        (Self::grad_exp(tex, quad_uv) >> 1).max(0) as u32
+    fn level_round(m: f32) -> u32 {
+        ((Self::grad_exp(m) + 1) >> 1).max(0) as u32
+    }
+
+    /// `floor(max(log2 √m, 0))` — lower mip level (trilinear).
+    #[inline]
+    fn level_floor(m: f32) -> u32 {
+        (Self::grad_exp(m) >> 1).max(0) as u32
+    }
+
+    /// Mip levels `(lo, hi)` a bilinear (`lo == hi`) or trilinear
+    /// filter reads for the quad.
+    #[inline]
+    fn iso_levels(&self, tex: &TextureDesc, quad_uv: [Vec2; 4]) -> (u32, u32) {
+        let max_level = tex.levels() - 1;
+        let m = Self::max_sq_grad(tex, quad_uv);
+        if self.filter == Filter::Trilinear {
+            let lo = Self::level_floor(m).min(max_level);
+            (lo, (lo + 1).min(max_level))
+        } else {
+            let level = Self::level_round(m).min(max_level);
+            (level, level)
+        }
     }
 
     /// Cache-line footprint of one quad: the deduplicated set of line
@@ -147,79 +192,31 @@ impl Sampler {
         quad_uv: [Vec2; 4],
         lines: &mut Vec<LineAddr>,
     ) {
-        let start = lines.len();
-        let max_level = tex.levels() - 1;
-
-        match self.filter {
-            Filter::Bilinear => {
-                let level = Self::level_round(tex, quad_uv).min(max_level);
-                let ctx = LevelCtx::new(tex, level, self.wrap);
-                for uv in quad_uv {
-                    ctx.fragment_lines(uv, lines, start);
-                }
-            }
-            Filter::Trilinear => {
-                let lo = Self::level_floor(tex, quad_uv).min(max_level);
-                let hi = (lo + 1).min(max_level);
-                let ctx_lo = LevelCtx::new(tex, lo, self.wrap);
-                let ctx_hi = LevelCtx::new(tex, hi, self.wrap);
-                for uv in quad_uv {
-                    ctx_lo.fragment_lines(uv, lines, start);
-                    if hi != lo {
-                        ctx_hi.fragment_lines(uv, lines, start);
-                    }
-                }
-            }
-            Filter::Anisotropic { max_ratio } => {
-                let ratio = max_ratio.max(1);
-                let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
-                let texel = quad_uv.map(|uv| uv.mul_elem(scale));
-                let (ddx, ddy) = attr_derivatives(texel);
-                let (major, minor) = if ddx.length() >= ddy.length() {
-                    (ddx, ddy)
-                } else {
-                    (ddy, ddx)
-                };
-                let minor_len = minor.length().max(1e-6);
-                let probes = ((major.length() / minor_len).ceil() as u8).clamp(1, ratio) as i32;
-                // floor(max(log2 minor_len, 0)) is the unbiased
-                // exponent of `minor_len`, clamped — see `grad_exp`.
-                let e = (minor_len.to_bits() >> 23) as i32 - 127;
-                let level = (e.max(0) as u32).min(max_level);
-                let hi = (level + 1).min(max_level);
-                let ctx_lo = LevelCtx::new(tex, level, self.wrap);
-                let ctx_hi = LevelCtx::new(tex, hi, self.wrap);
-                for uv in quad_uv {
-                    let uvt = uv.mul_elem(scale);
-                    for p in 0..probes {
-                        // Distribute probes along the major axis.
-                        let t = if probes == 1 {
-                            0.0
-                        } else {
-                            (p as f32 + 0.5) / probes as f32 - 0.5
-                        };
-                        let pos = uvt + major * t;
-                        let pos_uv = Vec2::new(pos.x / scale.x, pos.y / scale.y);
-                        ctx_lo.fragment_lines(pos_uv, lines, start);
-                        if hi != level {
-                            ctx_hi.fragment_lines(pos_uv, lines, start);
-                        }
-                    }
-                }
-            }
+        if matches!(self.filter, Filter::Anisotropic { .. }) {
+            return self.reference_footprint_into(tex, quad_uv, lines);
         }
-
-        lines[start..].sort_unstable();
-        // In-place dedup of the tail (`Vec::dedup` would scan — and
-        // could merge across — the caller's existing prefix).
-        let mut w = start;
-        for r in start..lines.len() {
-            if w == start || lines[w - 1] != lines[r] {
-                lines[w] = lines[r];
-                w += 1;
-            }
+        let (lo, hi) = self.iso_levels(tex, quad_uv);
+        let mut buf = [0; 2 * WINDOW_BLOCKS];
+        let mut n = 0;
+        let mut level = |level| match self.wrap {
+            Wrap::Repeat => window_lines::<false>(tex.mip(level), quad_uv, &mut buf, &mut n),
+            Wrap::ClampToEdge => window_lines::<true>(tex.mip(level), quad_uv, &mut buf, &mut n),
+        };
+        let windowed = level(lo) && (hi == lo || level(hi));
+        if !windowed {
+            return self.reference_footprint_into(tex, quad_uv, lines);
         }
-        lines.truncate(w);
+        // Each level appended a sorted run and levels are laid out in
+        // address order, so the runs concatenate in order. Drop
+        // duplicates: a small level's `Repeat` wrap can fold two window
+        // blocks onto one line, and the 1×1 tail shares the 2×2
+        // level's line.
+        let mut len = 1;
+        for i in 1..n {
+            buf[len] = buf[i];
+            len += usize::from(buf[i] != buf[len - 1]);
+        }
+        lines.extend_from_slice(&buf[..len]);
     }
 
     /// Bilinearly filtered RGBA color (0–1 floats) at `uv` on the mip
@@ -251,6 +248,90 @@ impl Sampler {
         acc
     }
 
+    /// The per-tap reference footprint: every filter tap is wrapped and
+    /// addressed through [`TextureDesc::texel_line`], then the quad's
+    /// lines are sorted and deduplicated.
+    fn reference_footprint_into(
+        &self,
+        tex: &TextureDesc,
+        quad_uv: [Vec2; 4],
+        lines: &mut Vec<LineAddr>,
+    ) {
+        let start = lines.len();
+        let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
+        // Mip levels, probe count, and the major axis the probes are
+        // spread along (anisotropic only).
+        let (lo, hi, probes, major) = match self.filter {
+            Filter::Bilinear | Filter::Trilinear => {
+                let (lo, hi) = self.iso_levels(tex, quad_uv);
+                (lo, hi, 1, None)
+            }
+            Filter::Anisotropic { max_ratio } => {
+                let max_level = tex.levels() - 1;
+                let texel = quad_uv.map(|uv| uv.mul_elem(scale));
+                let (ddx, ddy) = attr_derivatives(texel);
+                let (major, minor) = if ddx.length() >= ddy.length() {
+                    (ddx, ddy)
+                } else {
+                    (ddy, ddx)
+                };
+                let minor_len = minor.length().max(1e-6);
+                let probes =
+                    ((major.length() / minor_len).ceil() as u8).clamp(1, max_ratio.max(1)) as i32;
+                // floor(max(log2 minor_len, 0)) is the unbiased
+                // exponent of `minor_len`, clamped — see `grad_exp`.
+                let e = (minor_len.to_bits() >> 23) as i32 - 127;
+                let level = (e.max(0) as u32).min(max_level);
+                (level, (level + 1).min(max_level), probes, Some(major))
+            }
+        };
+        for uv in quad_uv {
+            for p in 0..probes {
+                let pos = match major {
+                    None => uv,
+                    Some(major) => {
+                        // Distribute probes along the major axis.
+                        let t = if probes == 1 {
+                            0.0
+                        } else {
+                            (p as f32 + 0.5) / probes as f32 - 0.5
+                        };
+                        let pos = uv.mul_elem(scale) + major * t;
+                        Vec2::new(pos.x / scale.x, pos.y / scale.y)
+                    }
+                };
+                self.tap_lines(tex, lo, pos, lines);
+                if hi != lo {
+                    self.tap_lines(tex, hi, pos, lines);
+                }
+            }
+        }
+        lines[start..].sort_unstable();
+        // In-place dedup of the tail (`Vec::dedup` would scan — and
+        // could merge across — the caller's existing prefix).
+        let mut w = start;
+        for r in start..lines.len() {
+            if w == start || lines[w - 1] != lines[r] {
+                lines[w] = lines[r];
+                w += 1;
+            }
+        }
+        lines.truncate(w);
+    }
+
+    /// Append the lines of the 2×2 bilinear taps around `uv` at
+    /// `level`. The right/lower tap saturates at the `i64` range.
+    fn tap_lines(&self, tex: &TextureDesc, level: u32, uv: Vec2, lines: &mut Vec<LineAddr>) {
+        let (w, h) = tex.level_dims(level);
+        let x0 = floor_i64(uv.x * w as f32 - 0.5);
+        let y0 = floor_i64(uv.y * h as f32 - 0.5);
+        let (x1, y1) = (x0.saturating_add(1), y0.saturating_add(1));
+        for (x, y) in [(x0, y0), (x1, y0), (x0, y1), (x1, y1)] {
+            let (x, y) = self.wrap_coord(x, y, w, h);
+            lines.push(tex.texel_line(level, x, y));
+        }
+    }
+
     fn wrap_coord(&self, x: i64, y: i64, w: u32, h: u32) -> (i64, i64) {
         match self.wrap {
             Wrap::Repeat => (x.rem_euclid(i64::from(w)), y.rem_euclid(i64::from(h))),
@@ -271,11 +352,8 @@ impl Sampler {
 /// Every other input takes the saturating truncate-and-adjust path.
 #[inline]
 fn floor_i64(v: f32) -> i64 {
-    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
     if v.abs() < 4_194_304.0 {
-        let m = v + MAGIC;
-        let rounded = m.to_bits() as i32 - MAGIC.to_bits() as i32;
-        return i64::from(rounded - i32::from(m - MAGIC > v));
+        return i64::from(floor_in_window(v));
     }
     // `as i64` truncates toward zero, so subtract one when the
     // truncation rounded up (negative non-integers).
@@ -287,151 +365,128 @@ fn floor_i64(v: f32) -> i64 {
     t.saturating_sub(i64::from(adjust))
 }
 
-/// Per-mip-level addressing context, hoisted out of the per-fragment
-/// tap loop: one [`quad_footprint_into`](Sampler::quad_footprint_into)
-/// call resolves the level dimensions, wrap masks and base address
-/// once, then expands each fragment's 2×2 taps with inline Morton
-/// arithmetic. Bit-identical to addressing through
-/// [`TextureDesc::texel_line`] tap by tap — this is the footprint hot
-/// path (hundreds of thousands of quads per frame), so the per-tap
-/// `rem_euclid` divisions and bounds re-checks are folded away.
-struct LevelCtx {
-    /// Level dimensions as floats (UV → texel scale).
-    wf: f32,
-    hf: f32,
-    /// Level dimensions as integers. Power-of-two by construction
-    /// ([`TextureDesc`] asserts it), so `Repeat` wrapping is a mask.
-    w: i64,
-    h: i64,
-    /// First byte address of the level (base + level offset).
-    base: u64,
-    /// Row-major line pitch (`max(w, h)`, the padded square side).
-    pitch: u64,
-    morton: bool,
-    clamp: bool,
-    /// Morton layout *and* the level base is line-aligned: a 64-byte
-    /// line is then exactly one 4×4-texel Morton block, so a tap's
-    /// line is `base/64 + encode(x/4, y/4)` — one block encode shared
-    /// by all taps that land in the block, instead of a full-precision
-    /// Morton expansion per tap. Texture allocation keeps bases
-    /// line-aligned, so only the 4-byte 1×1 tail level (offset `…+16`)
-    /// misses this path.
-    morton_aligned: bool,
+/// `floor(v)` when it lies in `[-2²², 2²²)`; for every other input,
+/// ±∞ and NaN included, some value outside that range. The magic
+/// round of [`floor_i64`], with the range check left to the caller.
+#[inline]
+fn floor_in_window(v: f32) -> i32 {
+    const MAGIC: f32 = 12_582_912.0; // 1.5 · 2²³
+    let m = v + MAGIC;
+    let rounded = (m.to_bits() as i32).wrapping_sub(MAGIC.to_bits() as i32);
+    rounded.wrapping_sub(i32::from(m - MAGIC > v))
 }
 
-impl LevelCtx {
-    fn new(tex: &TextureDesc, level: u32, wrap: Wrap) -> Self {
-        let (w, h) = tex.level_dims(level);
-        debug_assert!(w.is_power_of_two() && h.is_power_of_two());
-        let base = tex.level_base_addr(level);
-        let morton = tex.layout() == crate::TexelLayout::Morton;
-        // One line = one 4x4 Morton block requires exactly 16 texels
-        // per line; both are fixed constants today, the assert guards
-        // the fast path if either ever changes.
-        debug_assert_eq!(dtexl_mem::LINE_BYTES / crate::BYTES_PER_TEXEL, 16);
-        Self {
-            wf: w as f32,
-            hf: h as f32,
-            w: i64::from(w),
-            h: i64::from(h),
-            base,
-            pitch: u64::from(w.max(h)),
-            morton,
-            clamp: wrap == Wrap::ClampToEdge,
-            morton_aligned: morton && base.is_multiple_of(dtexl_mem::LINE_BYTES),
-        }
-    }
+/// Blocks in one level's window: 4×4 blocks of 4×4 texels.
+const WINDOW_BLOCKS: usize = 16;
 
-    /// Line address of texel `(x, y)` (already wrapped into range).
-    #[inline]
-    fn line(&self, x: u32, y: u32) -> LineAddr {
-        let texel_index = if self.morton {
-            crate::morton::encode(x, y)
-        } else {
-            u64::from(y) * self.pitch + u64::from(x)
-        };
-        (self.base + texel_index * crate::BYTES_PER_TEXEL) / dtexl_mem::LINE_BYTES
-    }
+/// The window kernel runs for floored texel coordinates in
+/// `[-2²², 2²²)`; the rest take the per-tap path.
+const WINDOW_COORD_LIMIT: i32 = 1 << 22;
 
-    /// Append the distinct lines of the fragment's 2×2 bilinear taps,
-    /// skipping any already present in `out[start..]` (the current
-    /// quad's tail). Adjacent fragments of a quad mostly share lines —
-    /// a 64 B line is a 4×4-texel block — so deduplicating at push time
-    /// keeps the tail at its final unique size (typically 1–4 entries)
-    /// and the caller's closing sort+dedup nearly free. The linear
-    /// `contains` scan is over that same tiny tail.
-    fn fragment_lines(&self, uv: Vec2, out: &mut Vec<LineAddr>, start: usize) {
-        let tu = uv.x * self.wf - 0.5;
-        let tv = uv.y * self.hf - 0.5;
-        let x0 = floor_i64(tu);
-        let y0 = floor_i64(tv);
-        let (x0, x1, y0, y1) = if self.clamp {
-            (
-                x0.clamp(0, self.w - 1) as u32,
-                (x0 + 1).clamp(0, self.w - 1) as u32,
-                y0.clamp(0, self.h - 1) as u32,
-                (y0 + 1).clamp(0, self.h - 1) as u32,
-            )
-        } else {
-            // `rem_euclid` by a power of two is a mask.
-            (
-                (x0 & (self.w - 1)) as u32,
-                ((x0 + 1) & (self.w - 1)) as u32,
-                (y0 & (self.h - 1)) as u32,
-                ((y0 + 1) & (self.h - 1)) as u32,
-            )
-        };
-        let (l00, l10, l01, l11);
-        if self.morton_aligned {
-            // Line-aligned Morton level: a tap's line is its 4×4-texel
-            // block's Morton index off the level's first line. The 2×2
-            // taps usually share one block, so most fragments cost a
-            // single encode.
-            let lb = self.base / dtexl_mem::LINE_BYTES;
-            let (bx0, by0) = (x0 >> 2, y0 >> 2);
-            let (bx1, by1) = (x1 >> 2, y1 >> 2);
-            l00 = lb + crate::morton::encode(bx0, by0);
-            l10 = if bx1 == bx0 {
-                l00
-            } else {
-                lb + crate::morton::encode(bx1, by0)
-            };
-            l01 = if by1 == by0 {
-                l00
-            } else {
-                lb + crate::morton::encode(bx0, by1)
-            };
-            l11 = if bx1 == bx0 {
-                l01
-            } else if by1 == by0 {
-                l10
-            } else {
-                lb + crate::morton::encode(bx1, by1)
-            };
-        } else {
-            l00 = self.line(x0, y0);
-            l10 = self.line(x1, y0);
-            l01 = self.line(x0, y1);
-            l11 = self.line(x1, y1);
+/// Append the lines mip level `mip` adds to a quad's footprint to
+/// `buf[*n..]`, one per touched 4×4-texel block, as a sorted run
+/// (with duplicates where a `Repeat` wrap folds blocks). Returns
+/// `false`, having appended nothing, when the quad is outside the
+/// window's domain: the level is [`MipLines::Taps`], a floored texel
+/// coordinate is outside `[-2²², 2²²)`, or the taps span more than
+/// four blocks on an axis.
+///
+/// The four fragments' 2×2 taps are floored once. Their blocks are
+/// marked in a 16-bit mask over the 4×4-block window anchored at the
+/// quad's lowest block, so a block several taps share is marked, not
+/// compared. Under `Repeat` the window is laid over the unwrapped
+/// coordinates and each marked block is wrapped once at emission, in
+/// the Morton domain (`spread_bits(x >> 2) & x_spread_mask` is the
+/// spread block of `x.rem_euclid(w)`). Under clamping it is laid over
+/// the clamped coordinates: clamping is monotone, so a fragment's
+/// clamped taps still bound its blocks.
+#[inline]
+fn window_lines<const CLAMP: bool>(
+    mip: &MipLevel,
+    quad_uv: [Vec2; 4],
+    buf: &mut [LineAddr; 2 * WINDOW_BLOCKS],
+    n: &mut usize,
+) -> bool {
+    match mip.lines {
+        MipLines::Blocks => {}
+        MipLines::Single => {
+            buf[*n] = mip.line;
+            *n += 1;
+            return true;
         }
-        if !out[start..].contains(&l00) {
-            out.push(l00);
-        }
-        if l10 != l00 && !out[start..].contains(&l10) {
-            out.push(l10);
-        }
-        if l01 != l00 && l01 != l10 && !out[start..].contains(&l01) {
-            out.push(l01);
-        }
-        if l11 != l00 && l11 != l10 && l11 != l01 && !out[start..].contains(&l11) {
-            out.push(l11);
-        }
+        MipLines::Taps => return false,
     }
+    let (wf, hf) = (mip.w as f32, mip.h as f32);
+    let cx = quad_uv.map(|uv| floor_in_window(uv.x * wf - 0.5));
+    let cy = quad_uv.map(|uv| floor_in_window(uv.y * hf - 0.5));
+    // In the domain iff every `c + 2²²` lies in [0, 2²³).
+    let outside = cx.iter().chain(&cy).fold(0, |acc, &c| {
+        acc | (c.wrapping_add(WINDOW_COORD_LIMIT) as u32 >> 23)
+    });
+    if outside != 0 {
+        return false;
+    }
+    // Per fragment: the blocks of its left/right and top/bottom taps.
+    let taps = |c: i32, max: i32| {
+        if CLAMP {
+            (c.clamp(0, max) >> 2, (c + 1).clamp(0, max) >> 2)
+        } else {
+            (c >> 2, (c + 1) >> 2)
+        }
+    };
+    let bx = cx.map(|c| taps(c, mip.w as i32 - 1));
+    let by = cy.map(|c| taps(c, mip.h as i32 - 1));
+    let bx_lo = bx[0].0.min(bx[1].0).min(bx[2].0).min(bx[3].0);
+    let by_lo = by[0].0.min(by[1].0).min(by[2].0).min(by[3].0);
+    let bx_hi = bx[0].1.max(bx[1].1).max(bx[2].1).max(bx[3].1);
+    let by_hi = by[0].1.max(by[1].1).max(by[2].1).max(by[3].1);
+    if bx_hi - bx_lo > 3 || by_hi - by_lo > 3 {
+        return false;
+    }
+    // Each fragment stamps its 1–4 blocks: bit 0, plus bit 1 when its
+    // taps straddle a block column, bit 4 a block row, bit 5 both.
+    let mut window = 0u32;
+    for ((x0, x1), (y0, y1)) in bx.into_iter().zip(by) {
+        let stamp = (1 | (x1 - x0) << 1) * (1 | (y1 - y0) << 4);
+        window |= (stamp as u32) << ((x0 - bx_lo) + 4 * (y0 - by_lo));
+    }
+    // Spread (Morton-interleaved) wrapped coordinates of the window's
+    // four block columns and rows, each one increment from the last:
+    // `spread(x + 1)` is `(spread(x) | !mask) + 1`, masked.
+    let (xm, ym) = (mip.x_spread_mask, mip.y_spread_mask);
+    let mut sx = [spread_bits(bx_lo as u32) & xm; 4];
+    let mut sy = [spread_bits(by_lo as u32) & ym; 4];
+    for i in 1..4 {
+        sx[i] = (sx[i - 1] | !xm).wrapping_add(1) & xm;
+        sy[i] = (sy[i - 1] | !ym).wrapping_add(1) & ym;
+    }
+    let start = *n;
+    let mut window = window as u16;
+    while window != 0 {
+        let b = window.trailing_zeros() as usize;
+        window &= window - 1;
+        buf[*n] = mip.line + (sx[b & 3] | sy[b >> 2] << 1);
+        *n += 1;
+    }
+    // Insertion sort: each line is merged into the sorted prefix by
+    // min/max, without data-dependent branches.
+    let run = &mut buf[start..*n];
+    for i in 1..run.len() {
+        let mut x = run[i];
+        for slot in &mut run[..i] {
+            let a = *slot;
+            *slot = a.min(x);
+            x = a.max(x);
+        }
+        run[i] = x;
+    }
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TexelLayout;
 
     fn tex() -> TextureDesc {
         TextureDesc::new(0, 256, 256, 0)
@@ -474,6 +529,49 @@ mod tests {
         }
     }
 
+    /// `floor_in_window` is exact on `[-2²², 2²²)` and lands outside
+    /// it for every other input.
+    fn check_floor_in_window(v: f32) {
+        let limit = 4_194_304.0f32;
+        let (c, f) = (floor_in_window(v), v.floor());
+        if (-limit..limit).contains(&f) {
+            assert_eq!(c, f as i32, "floor_in_window({v:e})");
+        } else {
+            assert!(
+                !(-(1 << 22)..1 << 22).contains(&c),
+                "floor_in_window({v:e}) = {c} inside the window"
+            );
+        }
+    }
+
+    #[test]
+    fn floor_in_window_is_exact_inside_and_out_of_range_outside() {
+        for bits in (0..=u32::MAX).step_by(997) {
+            check_floor_in_window(f32::from_bits(bits));
+        }
+        // Every float near the range edges, and near -1.5·2²³ where
+        // the magic sum crosses zero.
+        for centre in [4_194_304.0f32, -4_194_304.0, -12_582_912.0] {
+            let mut v = centre;
+            for _ in 0..64 {
+                v = v.next_down();
+            }
+            for _ in 0..128 {
+                check_floor_in_window(v);
+                v = v.next_up();
+            }
+        }
+        for v in [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            f32::MIN,
+        ] {
+            check_floor_in_window(v);
+        }
+    }
+
     #[test]
     fn floor_i64_matches_std_floor_on_a_bit_pattern_sweep() {
         // An odd stride visits every exponent and both signs, with
@@ -484,6 +582,168 @@ mod tests {
                 floor_i64(v),
                 v.floor() as i64,
                 "floor_i64({v:e}) = bits {bits:#x}"
+            );
+        }
+    }
+
+    /// Quads for the footprint oracle at texture size `(w, h)`: affine
+    /// maps from pixels to level-0 texels (rotated, skewed, magnified
+    /// and minified, about a range of centres), plus coordinates at the
+    /// 2²² window-domain edge, at ±∞ and NaN.
+    fn oracle_quads(w: u32, h: u32) -> Vec<[Vec2; 4]> {
+        let (wf, hf) = (w as f32, h as f32);
+        let affine = |c: Vec2, jx: Vec2, jy: Vec2| {
+            let uv = |px: f32, py: f32| {
+                let t = c + jx * px + jy * py;
+                Vec2::new(t.x / wf, t.y / hf)
+            };
+            [uv(0.0, 0.0), uv(1.0, 0.0), uv(0.0, 1.0), uv(1.0, 1.0)]
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64 ^ u64::from(w) << 32 ^ u64::from(h);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let mut quads = Vec::new();
+        for _ in 0..160 {
+            // Scale 2^-4 (magnified) .. 2^9 (minified past any level).
+            let scale = (next() * 13.0 - 4.0).exp2();
+            let angle = next() * std::f32::consts::TAU;
+            let skew = next() * 2.0 - 1.0;
+            let stretch = (next() * 4.0 - 2.0).exp2();
+            let (sin, cos) = angle.sin_cos();
+            let jx = Vec2::new(cos, sin) * scale;
+            let jy = (Vec2::new(-sin, cos) * stretch + Vec2::new(cos, sin) * skew) * scale;
+            let c = Vec2::new((next() * 3.0 - 1.0) * wf, (next() * 3.0 - 1.0) * hf);
+            quads.push(affine(c, jx, jy));
+        }
+        // Screen-aligned quads on every phase of a 4-texel block.
+        for i in 0..32 {
+            let c = Vec2::new(i as f32 * 0.625 - 2.0, (i % 7) as f32 * 0.75 - 1.0);
+            quads.push(affine(c, Vec2::new(1.0, 0.0), Vec2::new(0.0, 1.0)));
+        }
+        // Texel coordinates at and around the ±2²² window-domain edge.
+        let edge = 4_194_304.0f32;
+        for c in [
+            edge - 3.0,
+            edge - 1.5,
+            edge,
+            edge + 2.0,
+            2.0 * edge,
+            512.0 * edge,
+        ] {
+            for c in [c, -c] {
+                quads.push(affine(
+                    Vec2::new(c, 1.0),
+                    Vec2::new(1.0, 0.0),
+                    Vec2::new(0.0, 1.0),
+                ));
+                quads.push(affine(
+                    Vec2::new(2.0, c),
+                    Vec2::new(1.0, 0.0),
+                    Vec2::new(0.0, 1.0),
+                ));
+            }
+        }
+        // Non-finite UVs, on one fragment or on all of them.
+        for v in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN] {
+            let base = affine(
+                Vec2::new(3.0, 5.0),
+                Vec2::new(1.0, 0.0),
+                Vec2::new(0.0, 1.0),
+            );
+            let mut one = base;
+            one[1].x = v;
+            let mut all = base.map(|uv| Vec2::new(v, uv.y));
+            quads.push(one);
+            quads.push(all);
+            all = all.map(|uv| Vec2::new(uv.x, v));
+            quads.push(all);
+        }
+        quads
+    }
+
+    #[test]
+    fn quad_footprint_matches_the_per_tap_reference() {
+        let filters = [
+            Filter::Bilinear,
+            Filter::Trilinear,
+            Filter::Anisotropic { max_ratio: 1 },
+            Filter::Anisotropic { max_ratio: 4 },
+            Filter::Anisotropic { max_ratio: 16 },
+        ];
+        let sizes = [(1, 1), (2, 2), (4, 1), (1, 8), (64, 16), (512, 512)];
+        // Line-aligned, and off by a line fraction (every level then
+        // straddles lines).
+        let bases = [0x1000_0000, 0x1000_0010, 0x1000_0004];
+        let mut got = Vec::new();
+        let mut want = Vec::new();
+        let mut checked = 0usize;
+        for (w, h) in sizes {
+            let quads = oracle_quads(w, h);
+            for base in bases {
+                for layout in [TexelLayout::Morton, TexelLayout::RowMajor] {
+                    let tex = TextureDesc::with_layout(7, w, h, base, layout);
+                    for filter in filters {
+                        for wrap in [Wrap::Repeat, Wrap::ClampToEdge] {
+                            let s = Sampler::with_wrap(filter, wrap);
+                            for q in &quads {
+                                // A non-empty prefix the call must not touch.
+                                got.clear();
+                                got.push(u64::MAX);
+                                s.quad_footprint_into(&tex, *q, &mut got);
+                                want.clear();
+                                want.push(u64::MAX);
+                                s.reference_footprint_into(&tex, *q, &mut want);
+                                assert_eq!(
+                                    got, want,
+                                    "{w}x{h} base {base:#x} {layout:?} {filter:?} {wrap:?} quad {q:?}"
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 50_000, "{checked} quads");
+    }
+
+    /// `(level_round, level_floor)` of `m` from an `f64` `log2`.
+    fn exact_levels(m: f32) -> (u32, u32) {
+        let log2_rho = (f64::from(m.max(1e-12)).log2() / 2.0).max(0.0);
+        ((log2_rho + 0.5).floor() as u32, log2_rho.floor() as u32)
+    }
+
+    #[test]
+    fn mip_levels_match_an_exact_log2_at_every_power_of_two_boundary() {
+        // Every finite power of two from below the 1e-12 floor up, and
+        // the floats a few ulps either side of it.
+        for k in -45i32..=126 {
+            let p = f32::from_bits(((k + 127) as u32) << 23);
+            let mut below = p;
+            let mut above = p;
+            for _ in 0..3 {
+                below = below.next_down();
+                above = above.next_up();
+                for m in [below, p, above] {
+                    assert_eq!(
+                        (Sampler::level_round(m), Sampler::level_floor(m)),
+                        exact_levels(m),
+                        "m = {m:e} (2^{k} neighbourhood)"
+                    );
+                }
+            }
+        }
+        // And a stride through every positive finite float.
+        for bits in (0..0x7f80_0000u32).step_by(997) {
+            let m = f32::from_bits(bits);
+            assert_eq!(
+                (Sampler::level_round(m), Sampler::level_floor(m)),
+                exact_levels(m),
+                "m = {m:e}"
             );
         }
     }
@@ -507,57 +767,6 @@ mod tests {
         let t = tex();
         let s = Sampler::new(Filter::Bilinear);
         assert_eq!(s.lod(&t, quad_at(10.0, 10.0, 0.25, &t)), 0.0);
-    }
-
-    #[test]
-    #[ignore]
-    fn footprint_phase_probe() {
-        use std::time::Instant;
-        let t256 = TextureDesc::new(0, 256, 256, 0);
-        let n = 119_000u32;
-        // Synthetic quads: sweep uv across the texture at ~1:1 scale.
-        let quads: Vec<[Vec2; 4]> = (0..n)
-            .map(|i| {
-                let px = (i % 480) as f32;
-                let py = (i / 480) as f32;
-                let uv = |x: f32, y: f32| Vec2::new(x / 256.0, y / 256.0);
-                [
-                    uv(px, py),
-                    uv(px + 1.0, py),
-                    uv(px, py + 1.0),
-                    uv(px + 1.0, py + 1.0),
-                ]
-            })
-            .collect();
-        let s = Sampler::new(Filter::Bilinear);
-        // Phase 1: lod only.
-        let t = Instant::now();
-        let mut acc = 0f32;
-        for q in &quads {
-            acc += s.lod(&t256, *q);
-        }
-        println!("lod: {:?} (acc {acc})", t.elapsed());
-        // Phase 2: ctx + fragments, no sort.
-        let t = Instant::now();
-        let mut lines: Vec<LineAddr> = Vec::new();
-        for q in &quads {
-            let lod = s.lod(&t256, *q);
-            let max_level = t256.levels() - 1;
-            let level = (lod + 0.5).floor().min(max_level as f32) as u32;
-            let ctx = LevelCtx::new(&t256, level, Wrap::Repeat);
-            let start = lines.len();
-            for uv in *q {
-                ctx.fragment_lines(uv, &mut lines, start);
-            }
-        }
-        println!("lod+fragments: {:?} ({} lines)", t.elapsed(), lines.len());
-        // Phase 3: full footprint.
-        lines.clear();
-        let t = Instant::now();
-        for q in &quads {
-            s.quad_footprint_into(&t256, *q, &mut lines);
-        }
-        println!("full: {:?} ({} lines)", t.elapsed(), lines.len());
     }
 
     #[test]

@@ -50,9 +50,51 @@ pub struct TextureDesc {
     height: u32,
     base_addr: u64,
     layout: TexelLayout,
-    /// Byte offset of each level from `base_addr`.
-    level_offsets: Vec<u64>,
+    /// Per-level addressing constants, level 0 first.
+    mips: Vec<MipLevel>,
     total_bytes: u64,
+}
+
+/// Addressing constants of one mip level, computed once per texture so
+/// the sampler's footprint kernel reads them instead of re-deriving
+/// them per quad.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MipLevel {
+    /// Level width in texels (a power of two).
+    pub(crate) w: u32,
+    /// Level height in texels (a power of two).
+    pub(crate) h: u32,
+    /// First byte address of the level.
+    pub(crate) base: u64,
+    /// Line address of `base`.
+    pub(crate) line: LineAddr,
+    /// `Repeat` wrap mask of 4×4-texel block columns in the Morton
+    /// (bit-spread) domain, `spread_bits((w - 1) >> 2)`: the block of
+    /// texel `x.rem_euclid(w)` spreads to
+    /// `spread_bits((x >> 2) as u32) & x_spread_mask`. It covers the
+    /// last block column too, so clamped blocks pass it unchanged.
+    pub(crate) x_spread_mask: u64,
+    /// The same for block rows, `spread_bits((h - 1) >> 2)`.
+    pub(crate) y_spread_mask: u64,
+    /// How the level's texels map to lines.
+    pub(crate) lines: MipLines,
+}
+
+/// How a mip level's texels map to cache lines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum MipLines {
+    /// Morton layout at a line-aligned base: one line is exactly one
+    /// 4×4-texel block, and block `(bx, by)` is line
+    /// `line + morton::encode(bx, by)`.
+    Blocks,
+    /// A 1×1 level: one texel, so one line (`line`) whatever the
+    /// coordinates, wrap or layout. As the tail of a longer chain it
+    /// is never line-aligned (it follows a 16-byte 2×2 or 2×1 level).
+    Single,
+    /// Anything else (row-major layout, a base that is not
+    /// line-aligned, or a side above 2¹⁶ texels, where the texel
+    /// Morton code wraps): only per-tap addressing is exact.
+    Taps,
 }
 
 impl TextureDesc {
@@ -83,11 +125,33 @@ impl TextureDesc {
             width.is_power_of_two() && height.is_power_of_two(),
             "texture dimensions must be powers of two, got {width}x{height}"
         );
-        let mut level_offsets = Vec::new();
+        // One line = one 4×4 Morton block requires exactly 16 texels
+        // per line.
+        debug_assert_eq!(LINE_BYTES / BYTES_PER_TEXEL, 16);
+        let mut mips = Vec::new();
         let mut offset = 0u64;
         let (mut w, mut h) = (width, height);
         loop {
-            level_offsets.push(offset);
+            let base = base_addr + offset;
+            let lines = if w == 1 && h == 1 {
+                MipLines::Single
+            } else if layout == TexelLayout::Morton
+                && base.is_multiple_of(LINE_BYTES)
+                && w.max(h) <= 1 << 16
+            {
+                MipLines::Blocks
+            } else {
+                MipLines::Taps
+            };
+            mips.push(MipLevel {
+                w,
+                h,
+                base,
+                line: base / LINE_BYTES,
+                x_spread_mask: morton::spread_bits((w - 1) >> 2),
+                y_spread_mask: morton::spread_bits((h - 1) >> 2),
+                lines,
+            });
             // Morton layout addresses within the bounding square; the
             // allocation is padded accordingly (a standard trade-off of
             // tiled layouts for non-square levels).
@@ -105,7 +169,7 @@ impl TextureDesc {
             height,
             base_addr,
             layout,
-            level_offsets,
+            mips,
             total_bytes: offset,
         }
     }
@@ -143,7 +207,7 @@ impl TextureDesc {
     /// Number of mip levels.
     #[must_use]
     pub fn levels(&self) -> u32 {
-        self.level_offsets.len() as u32
+        self.mips.len() as u32
     }
 
     /// Total allocation footprint in bytes (all levels, with tiling
@@ -164,10 +228,10 @@ impl TextureDesc {
         ((self.width >> level).max(1), (self.height >> level).max(1))
     }
 
-    /// First byte address of mip `level` (the sampler's hot-path
-    /// shortcut past per-tap bounds checks).
-    pub(crate) fn level_base_addr(&self, level: u32) -> u64 {
-        self.base_addr + self.level_offsets[level as usize]
+    /// Addressing constants of mip `level` (the sampler's footprint
+    /// kernel reads these in place of per-tap addressing).
+    pub(crate) fn mip(&self, level: u32) -> &MipLevel {
+        &self.mips[level as usize]
     }
 
     /// Byte address of texel `(x, y)` at `level`, clamping the
@@ -188,7 +252,7 @@ impl TextureDesc {
             // layout-independent).
             TexelLayout::RowMajor => u64::from(cy) * u64::from(w.max(h)) + u64::from(cx),
         };
-        self.base_addr + self.level_offsets[level as usize] + texel_index * BYTES_PER_TEXEL
+        self.mips[level as usize].base + texel_index * BYTES_PER_TEXEL
     }
 
     /// Cache-line address of texel `(x, y)` at `level`.
