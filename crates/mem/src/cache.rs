@@ -1,6 +1,6 @@
 //! Set-associative cache model.
 
-use crate::replacement::{Lru, ReplacementPolicy};
+use crate::hierarchy::ReplacementKind;
 use crate::stats::CacheStats;
 use crate::{LineAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -112,49 +112,26 @@ pub struct AccessOutcome {
     pub evicted: Option<LineAddr>,
 }
 
-/// Statically-dispatched replacement selector.
-///
-/// Every cache access calls [`ReplacementPolicy::on_access`]; going
-/// through a `Box<dyn …>` put a virtual call on the hottest loop of
-/// the simulator. The stock policies are a closed set, so they are
-/// dispatched by `match` (which inlines); arbitrary external policies
-/// still work through the boxed [`Custom`](PolicyImpl::Custom) arm.
-#[derive(Debug)]
-pub(crate) enum PolicyImpl {
-    Lru(Lru),
-    Fifo(crate::replacement::Fifo),
-    Random(crate::replacement::PseudoRandom),
-    Custom(Box<dyn ReplacementPolicy + Send>),
-}
-
-impl PolicyImpl {
-    #[inline]
-    fn on_access(&mut self, set: usize, way: usize, tick: u64) {
-        match self {
-            Self::Lru(p) => p.on_access(set, way, tick),
-            Self::Fifo(p) => p.on_access(set, way, tick),
-            Self::Random(p) => p.on_access(set, way, tick),
-            Self::Custom(p) => p.on_access(set, way, tick),
-        }
-    }
-
-    #[inline]
-    fn victim(&mut self, set: usize, tick: u64) -> usize {
-        match self {
-            Self::Lru(p) => p.victim(set, tick),
-            Self::Fifo(p) => p.victim(set, tick),
-            Self::Random(p) => p.victim(set, tick),
-            Self::Custom(p) => p.victim(set, tick),
-        }
-    }
-}
-
 /// Tag value marking an invalid (never filled) way. No real line can
 /// take this value: line addresses are byte addresses divided by the
 /// 64-byte line size, so they are bounded well below `u64::MAX`.
 const INVALID_TAG: LineAddr = LineAddr::MAX;
 
-/// A set-associative cache with pluggable replacement.
+/// Seed (odd) of the [`ReplacementKind::Random`] victim stream.
+const RANDOM_SEED: u64 = 0x5eed;
+
+/// A set-associative cache with LRU, FIFO or pseudo-random
+/// replacement ([`ReplacementKind`]).
+///
+/// Each set keeps its tags in policy order, so the policy needs no
+/// state besides the order itself (see `docs/MODEL.md`, "Caches"):
+///
+/// * LRU — recency order: a hit moves its line to the front, a fill
+///   enters at the front, the back line is the victim;
+/// * FIFO — fill order: a fill enters at the front, hits do not
+///   reorder, the back line is the victim;
+/// * Random — way order: a fill takes the first invalid way, else the
+///   way a deterministic xorshift stream draws.
 ///
 /// The model is *functional plus latency*: it tracks residency and
 /// statistics; timing (latency stacking, MSHR contention) is handled by
@@ -179,12 +156,14 @@ pub struct SetAssocCache {
     /// standard geometry is power-of-two; the modulo fallback keeps
     /// arbitrary configs working, bit-identically).
     set_mask: Option<u64>,
-    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid. A bare
-    /// sentinel keeps the hit scan to one 8-byte compare per way
-    /// (an `Option<LineAddr>` doubles the tag array and the compare).
+    /// `tags[set * ways..][..ways]`, in the policy's order;
+    /// [`INVALID_TAG`] = invalid. Under LRU and FIFO the invalid ways
+    /// are always at the back. A bare sentinel keeps the hit scan to
+    /// one 8-byte compare per way.
     tags: Vec<LineAddr>,
-    policy: PolicyImpl,
-    tick: u64,
+    policy: ReplacementKind,
+    /// xorshift state of the [`ReplacementKind::Random`] victim draw.
+    rng: u64,
     stats: CacheStats,
 }
 
@@ -196,21 +175,16 @@ impl SetAssocCache {
     /// Panics if `config` is degenerate (see [`CacheConfig::sets`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        Self::with_policy_impl(config, PolicyImpl::Lru(Lru::new(sets, config.ways)))
+        Self::with_replacement(config, ReplacementKind::Lru)
     }
 
-    /// Create a cache with a custom replacement policy.
+    /// Create a cache with `policy` replacement.
     ///
     /// # Panics
     ///
     /// Panics if `config` is degenerate (see [`CacheConfig::sets`]).
     #[must_use]
-    pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy + Send>) -> Self {
-        Self::with_policy_impl(config, PolicyImpl::Custom(policy))
-    }
-
-    pub(crate) fn with_policy_impl(config: CacheConfig, policy: PolicyImpl) -> Self {
+    pub fn with_replacement(config: CacheConfig, policy: ReplacementKind) -> Self {
         let sets = config.sets();
         Self {
             config,
@@ -218,7 +192,7 @@ impl SetAssocCache {
             set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
             tags: vec![INVALID_TAG; sets * config.ways],
             policy,
-            tick: 0,
+            rng: RANDOM_SEED,
             stats: CacheStats::default(),
         }
     }
@@ -251,43 +225,37 @@ impl SetAssocCache {
             line != INVALID_TAG,
             "line address is the invalid-tag sentinel"
         );
-        self.tick += 1;
         self.stats.accesses += 1;
         let set = self.set_of(line);
-        let base = set * self.config.ways;
-
-        // Hit?
-        for way in 0..self.config.ways {
-            if self.tags[base + way] == line {
-                self.policy.on_access(set, way, self.tick);
-                self.stats.hits += 1;
-                return AccessOutcome {
-                    hit: true,
-                    evicted: None,
-                };
+        let ways = self.config.ways;
+        let tags = &mut self.tags[set * ways..][..ways];
+        if let Some(way) = tags.iter().position(|&t| t == line) {
+            if way > 0 && self.policy == ReplacementKind::Lru {
+                tags[..=way].rotate_right(1);
             }
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
         }
-
-        // Miss: fill an invalid way if there is one.
         self.stats.misses += 1;
-        for way in 0..self.config.ways {
-            if self.tags[base + way] == INVALID_TAG {
-                self.tags[base + way] = line;
-                self.policy.on_access(set, way, self.tick);
-                return AccessOutcome {
-                    hit: false,
-                    evicted: None,
-                };
-            }
-        }
-
-        // Evict.
-        let way = self.policy.victim(set, self.tick);
-        debug_assert!(way < self.config.ways);
-        let evicted = Some(self.tags[base + way]).filter(|&t| t != INVALID_TAG);
-        self.tags[base + way] = line;
-        self.policy.on_access(set, way, self.tick);
-        self.stats.evictions += 1;
+        let victim = if self.policy == ReplacementKind::Random {
+            let way = tags
+                .iter()
+                .position(|&t| t == INVALID_TAG)
+                .unwrap_or_else(|| random_way(&mut self.rng, set, self.stats.accesses, ways));
+            std::mem::replace(&mut tags[way], line)
+        } else {
+            // Front insert: the back line (least recent, first filled,
+            // or an invalid way) drops out.
+            let victim = tags[ways - 1];
+            tags.rotate_right(1);
+            tags[0] = line;
+            victim
+        };
+        let evicted = (victim != INVALID_TAG).then_some(victim);
+        self.stats.evictions += u64::from(evicted.is_some());
         AccessOutcome {
             hit: false,
             evicted,
@@ -298,12 +266,13 @@ impl SetAssocCache {
     #[must_use]
     #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.config.ways;
-        (0..self.config.ways).any(|w| self.tags[base + w] == line)
+        let ways = self.config.ways;
+        self.tags[self.set_of(line) * ways..][..ways].contains(&line)
     }
 
-    /// Invalidate all contents, keeping statistics.
+    /// Invalidate all contents, keeping statistics (and the random
+    /// victim stream's position). Every set starts empty again, so
+    /// later fills order exactly as in a fresh cache.
     pub fn flush(&mut self) {
         self.tags.fill(INVALID_TAG);
     }
@@ -315,11 +284,21 @@ impl SetAssocCache {
     }
 }
 
+/// The [`ReplacementKind::Random`] victim way of a full set: one
+/// xorshift step of the cache's stream, mixed with the set index and
+/// the access count.
+fn random_way(rng: &mut u64, set: usize, tick: u64, ways: usize) -> usize {
+    let mut x = *rng ^ (set as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ tick;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *rng = x;
+    (x % ways as u64) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::replacement::Fifo;
 
     fn tiny() -> CacheConfig {
         // 2 sets × 2 ways × 64 B = 256 B
@@ -404,15 +383,88 @@ mod tests {
         assert!(!c.access(0).hit, "miss again after flush");
     }
 
+    /// A 1-set cache of `ways` ways under `policy`.
+    fn one_set(ways: usize, policy: ReplacementKind) -> SetAssocCache {
+        let cfg = CacheConfig {
+            size_bytes: 64 * ways as u64,
+            line_bytes: 64,
+            ways,
+            latency: 1,
+        };
+        SetAssocCache::with_replacement(cfg, policy)
+    }
+
+    #[test]
+    fn lru_evicts_least_recent() {
+        let mut c = one_set(4, ReplacementKind::Lru);
+        for line in 0..4 {
+            c.access(line);
+        }
+        c.access(0); // refresh line 0
+        assert_eq!(c.access(4).evicted, Some(1), "line 1 is now the oldest");
+    }
+
+    #[test]
+    fn lru_tracks_sets_independently() {
+        let mut c = SetAssocCache::new(tiny());
+        // Set 0 refreshes its first line, set 1 its second.
+        for line in [0, 2, 0, 1, 3, 3] {
+            c.access(line);
+        }
+        assert_eq!(c.access(4).evicted, Some(2));
+        assert_eq!(c.access(5).evicted, Some(1));
+    }
+
+    #[test]
+    fn fifo_ignores_rehits() {
+        let mut c = one_set(2, ReplacementKind::Fifo);
+        c.access(0);
+        c.access(1);
+        c.access(0); // a re-hit does not refresh
+        assert_eq!(c.access(2).evicted, Some(0), "line 0 filled first");
+    }
+
     #[test]
     fn custom_policy_is_used() {
-        let cfg = tiny();
-        let mut c = SetAssocCache::with_policy(cfg, Box::new(Fifo::new(cfg.sets(), cfg.ways)));
+        // A policy chosen at construction replaces the default LRU: under
+        // LRU the re-hit would make line 2 the victim.
+        let mut c = SetAssocCache::with_replacement(tiny(), ReplacementKind::Fifo);
         c.access(0);
         c.access(2);
         c.access(0); // FIFO ignores the re-hit
         let out = c.access(4);
         assert_eq!(out.evicted, Some(0), "FIFO still evicts first-filled");
+    }
+
+    #[test]
+    fn fifo_after_flush_evicts_the_first_fill_since_the_flush() {
+        let mut c = one_set(2, ReplacementKind::Fifo);
+        for line in [0, 1, 2] {
+            c.access(line);
+        }
+        c.flush();
+        c.access(3);
+        c.access(4);
+        assert_eq!(c.access(5).evicted, Some(3), "line 3 was filled first");
+    }
+
+    #[test]
+    fn random_is_deterministic_and_in_range() {
+        let mut a = one_set(4, ReplacementKind::Random);
+        let mut b = one_set(4, ReplacementKind::Random);
+        let mut not_oldest = 0;
+        for line in 0..100 {
+            let (va, vb) = (a.access(line), b.access(line));
+            assert_eq!(va, vb);
+            assert!(!va.hit);
+            if line >= 4 {
+                let victim = va.evicted.expect("a full set evicts");
+                assert!(victim < line && !a.probe(victim));
+                not_oldest += usize::from(victim != line - 4);
+            }
+        }
+        assert_eq!(a.resident_lines(), 4);
+        assert!(not_oldest > 0, "the draw is not a fill-order queue");
     }
 
     #[test]

@@ -130,6 +130,15 @@ pub struct L2Request {
     pub prefetch: bool,
 }
 
+/// What one [`L1Lane::step`] sends below the L1.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LaneStep {
+    /// The line was resident: nothing reaches the L2.
+    Hit,
+    /// A demand miss, plus the next line when it was prefetched.
+    Miss { prefetch: Option<LineAddr> },
+}
+
 /// A private L1 texture cache plus the per-lane bookkeeping needed to
 /// simulate it in isolation from the shared levels.
 #[derive(Debug)]
@@ -159,34 +168,48 @@ impl L1Lane {
     /// whether the access hit in the private L1.
     ///
     /// The L1 state transition is identical to the serial hierarchy's:
-    /// prefetch decisions probe only this lane's cache, so they can be
-    /// made without consulting the L2.
+    /// both run [`step`](Self::step), and prefetch decisions probe only
+    /// this lane's cache, so they can be made without consulting the L2.
     #[inline]
     pub fn access(&mut self, line: LineAddr, sink: &mut Vec<L2Request>) -> bool {
+        let LaneStep::Miss { prefetch } = self.step(line) else {
+            return true;
+        };
+        sink.push(L2Request {
+            line,
+            prefetch: false,
+        });
+        if let Some(next) = prefetch {
+            sink.push(L2Request {
+                line: next,
+                prefetch: true,
+            });
+        }
+        false
+    }
+
+    /// The private-L1 transition of one access: the L1 lookup and, on a
+    /// miss, the next-line prefetch fill.
+    #[inline]
+    pub(crate) fn step(&mut self, line: LineAddr) -> LaneStep {
         if self.l1.access(line).hit {
             // A hit means the line is resident, and every resident line
             // was recorded in `seen` when it was filled (demand or
             // prefetch below) — skipping the set insert here keeps the
             // hot path cheap without changing the set.
-            return true;
+            return LaneStep::Hit;
         }
         self.seen.insert(line);
-        sink.push(L2Request {
-            line,
-            prefetch: false,
-        });
+        let mut prefetch = None;
         if self.prefetch_next_line {
             let next = line + 1;
             if !self.l1.probe(next) {
                 self.seen.insert(next);
                 self.l1.access(next);
-                sink.push(L2Request {
-                    line: next,
-                    prefetch: true,
-                });
+                prefetch = Some(next);
             }
         }
-        false
+        LaneStep::Miss { prefetch }
     }
 
     /// Whether `line` is currently resident (no state change).

@@ -1,7 +1,8 @@
 //! Property-based tests for the cache and hierarchy models.
 
 use dtexl_mem::{
-    CacheConfig, DramConfig, DramModel, SetAssocCache, TextureHierarchy, TextureHierarchyConfig,
+    AccessOutcome, CacheConfig, DramConfig, DramModel, ReplacementKind, SetAssocCache,
+    TextureHierarchy, TextureHierarchyConfig,
 };
 use proptest::prelude::*;
 
@@ -14,51 +15,163 @@ fn small_cache() -> CacheConfig {
     }
 }
 
-/// A trivially-correct reference LRU: per set, a `Vec` ordered from
-/// most- to least-recently used.
+/// A trivially-correct reference cache model.
+trait Reference {
+    fn access(&mut self, line: u64) -> AccessOutcome;
+    fn flush(&mut self);
+}
+
+/// Reference LRU or FIFO: per set, a `Vec` ordered newest first — by
+/// last use under LRU, by fill under FIFO (hits do not reorder).
 #[derive(Debug)]
-struct RefLru {
-    sets: usize,
+struct RefOrdered {
+    lru: bool,
     ways: usize,
     content: Vec<Vec<u64>>,
 }
 
-impl RefLru {
-    fn new(cfg: &CacheConfig) -> Self {
+impl RefOrdered {
+    fn new(cfg: &CacheConfig, lru: bool) -> Self {
         Self {
-            sets: cfg.sets(),
+            lru,
             ways: cfg.ways,
             content: vec![Vec::new(); cfg.sets()],
         }
     }
+}
 
-    fn access(&mut self, line: u64) -> bool {
-        let set = &mut self.content[(line % self.sets as u64) as usize];
+impl Reference for RefOrdered {
+    fn access(&mut self, line: u64) -> AccessOutcome {
+        let sets = self.content.len() as u64;
+        let set = &mut self.content[(line % sets) as usize];
         if let Some(pos) = set.iter().position(|&l| l == line) {
-            set.remove(pos);
-            set.insert(0, line);
-            true
-        } else {
-            set.insert(0, line);
-            set.truncate(self.ways);
-            false
+            if self.lru {
+                set.remove(pos);
+                set.insert(0, line);
+            }
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
+        set.insert(0, line);
+        AccessOutcome {
+            hit: false,
+            evicted: (set.len() > self.ways).then(|| set.pop().unwrap()),
+        }
+    }
+
+    fn flush(&mut self) {
+        self.content.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// Reference pseudo-random replacement in its way-indexed form: per
+/// set, one slot per way; a miss fills the first empty way, else the
+/// way a xorshift stream draws, seeded per access by the set index and
+/// the access count. A flush empties the ways but keeps the stream.
+#[derive(Debug)]
+struct RefRandom {
+    slots: Vec<Vec<Option<u64>>>,
+    state: u64,
+    tick: u64,
+}
+
+impl RefRandom {
+    fn new(cfg: &CacheConfig) -> Self {
+        Self {
+            slots: vec![vec![None; cfg.ways]; cfg.sets()],
+            state: 0x5eed | 1,
+            tick: 0,
         }
     }
 }
 
+impl Reference for RefRandom {
+    fn access(&mut self, line: u64) -> AccessOutcome {
+        self.tick += 1;
+        let set = (line % self.slots.len() as u64) as usize;
+        let ways = &mut self.slots[set];
+        if ways.contains(&Some(line)) {
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
+        let way = ways.iter().position(Option::is_none).unwrap_or_else(|| {
+            let mut x = self.state ^ (set as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.tick;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.state = x;
+            (x % ways.len() as u64) as usize
+        });
+        AccessOutcome {
+            hit: false,
+            evicted: ways[way].replace(line),
+        }
+    }
+
+    fn flush(&mut self) {
+        for set in &mut self.slots {
+            set.fill(None);
+        }
+    }
+}
+
+/// Drive `ops` through the production cache under `kind` and through
+/// `reference`, comparing every outcome. Values at or above `flush_at`
+/// flush both caches instead of accessing a line.
+fn check_against_reference(
+    kind: ReplacementKind,
+    reference: &mut dyn Reference,
+    ops: &[u64],
+    flush_at: u64,
+) -> Result<(), TestCaseError> {
+    let mut cache = SetAssocCache::with_replacement(small_cache(), kind);
+    for (i, &op) in ops.iter().enumerate() {
+        if op >= flush_at {
+            cache.flush();
+            reference.flush();
+            continue;
+        }
+        let got = cache.access(op);
+        let want = reference.access(op);
+        prop_assert_eq!(
+            got,
+            want,
+            "{:?}: divergence at op {} (line {})",
+            kind,
+            i,
+            op
+        );
+    }
+    let s = cache.stats();
+    prop_assert_eq!(s.hits + s.misses, s.accesses);
+    Ok(())
+}
+
 proptest! {
-    /// The production set-associative cache agrees hit-for-hit with a
-    /// trivially-correct reference LRU model on arbitrary traces.
+    /// The production set-associative cache agrees hit-for-hit and
+    /// eviction-for-eviction with a trivially-correct reference LRU
+    /// model on arbitrary traces.
     #[test]
     fn cache_matches_reference_lru(addrs in proptest::collection::vec(0u64..256, 1..600)) {
+        let mut reference = RefOrdered::new(&small_cache(), true);
+        check_against_reference(ReplacementKind::Lru, &mut reference, &addrs, u64::MAX)?;
+    }
+
+    /// Every policy agrees with its reference model on every access
+    /// (hit, miss and evicted line) with flushes interleaved: `256..`
+    /// flushes, about one op in 65.
+    #[test]
+    fn cache_matches_reference_models_across_flushes(
+        ops in proptest::collection::vec(0u64..260, 1..600)
+    ) {
         let cfg = small_cache();
-        let mut cache = SetAssocCache::new(cfg);
-        let mut reference = RefLru::new(&cfg);
-        for (i, &a) in addrs.iter().enumerate() {
-            let got = cache.access(a).hit;
-            let want = reference.access(a);
-            prop_assert_eq!(got, want, "divergence at access {} (line {})", i, a);
-        }
+        check_against_reference(ReplacementKind::Lru, &mut RefOrdered::new(&cfg, true), &ops, 256)?;
+        check_against_reference(ReplacementKind::Fifo, &mut RefOrdered::new(&cfg, false), &ops, 256)?;
+        check_against_reference(ReplacementKind::Random, &mut RefRandom::new(&cfg), &ops, 256)?;
     }
 
     /// A line just accessed is always resident immediately afterwards.

@@ -8,6 +8,7 @@
 //! that every reported metric is bit-identical to the serial reference,
 //! across games, schedules, barrier modes and ragged resolutions.
 
+use dtexl::mem::ReplacementKind;
 use dtexl::{SimConfig, Simulator};
 use dtexl_alloc::{meter_current_thread, AllocMeter};
 use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig};
@@ -82,6 +83,34 @@ fn parallel_matches_serial_in_upper_bound_mode() {
     };
     for (w, h) in RESOLUTIONS {
         assert_identical(Game::TempleRun, &ScheduleConfig::dtexl(), &base, w, h);
+    }
+}
+
+#[test]
+fn parallel_matches_serial_under_every_replacement_policy_and_prefetch() {
+    // The serial path enters the L1 through the fused
+    // `TextureHierarchy::access`, the parallel one through the traced
+    // `L1Lane::access`; both must make the same L1 transition under
+    // every policy, with and without the next-line prefetch. RoK at
+    // 320×128 touches far more lines than an L1 holds, so every policy
+    // picks victims.
+    for replacement in [
+        ReplacementKind::Lru,
+        ReplacementKind::Fifo,
+        ReplacementKind::Random,
+    ] {
+        for prefetch_next_line in [false, true] {
+            let mut base = PipelineConfig::default();
+            base.hierarchy.replacement = replacement;
+            base.hierarchy.prefetch_next_line = prefetch_next_line;
+            for (game, (w, h)) in [
+                (Game::CandyCrush, (100, 50)),
+                (Game::RiseOfKingdoms, (65, 31)),
+                (Game::RiseOfKingdoms, (320, 128)),
+            ] {
+                assert_identical(game, &ScheduleConfig::dtexl(), &base, w, h);
+            }
+        }
     }
 }
 
